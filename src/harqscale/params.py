@@ -9,6 +9,7 @@ which is the simulator's job.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,7 +41,8 @@ class SchemeParams:
 
     ``rho = 0`` is storable (the evaluators reject it with DegenerateRate,
     limit values live in :mod:`harqscale.limits`); everything else follows the
-    physical ranges.
+    physical ranges.  ``rho``, ``J`` and ``sigma2`` must be finite;
+    ``c_buf = inf`` is allowed and means an unbounded combining buffer.
     """
 
     rho: float = 1.0
@@ -58,14 +60,14 @@ class SchemeParams:
             if raw != int(raw):
                 raise ValueError(f"{name} must be an integer, got {raw!r}")
             object.__setattr__(self, name, int(raw))
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho!r}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2!r}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T!r}")
-        if not self.J >= self.T:
-            raise ValueError(f"J must be >= T ({self.T}), got {self.J!r}")
+        if not self.T <= self.J < math.inf:
+            raise ValueError(f"J must be finite and >= T ({self.T}), got {self.J!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")
         if self.B < 1:

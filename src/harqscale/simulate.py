@@ -18,9 +18,13 @@ interference power grows linearly, not quadratically, in the total number of
 interfering transmissions, so they are not a validation target for the
 chase-combining formula.
 
-Determinism: every trial derives its own child seed from the root seed, and
-the reduction is numpy's pairwise summation over the per-trial array, so
-results are bitwise identical for any worker count.
+Determinism: trials run in fixed blocks of 256; block k draws its noise from
+child k of ``SeedSequence(seed)``, so the random streams are keyed by block
+index (the counter-based seeding of Salmon et al., SC'11) and never by
+thread.  Worker threads take whole blocks, each block writes its own slice of
+the per-trial residual-power array, and the mean and variance are numpy's
+pairwise sums over that whole array, so results are bitwise identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ import numpy as np
 
 from .errors import DesiredInactive, DimensionTooSmall, UnsupportedCombination
 from .params import Scheme
+
+# Trials per block: one generator, one draw buffer (1 MiB at T = 4, m = 64)
+# and one task for the worker threads.  Fixed, so that the random streams do
+# not depend on the worker count.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,8 @@ def simulate_cc_noma_sinr(
     is the trial-independent T*rho*sigma2; everything else (coherent
     cross-correlations plus filtered noise) is the residual.  The estimate is
     (T*rho*sigma2)^2 over the mean residual power, with a delta-method
-    confidence half-width.
+    confidence half-width.  ``workers`` threads share out the 256-trial
+    blocks; the result is the same for any value.
     """
     if len(active_per_slot) != T:
         raise ValueError(f"active_per_slot has {len(active_per_slot)} slots, expected T={T}")
@@ -163,31 +173,30 @@ def simulate_cc_noma_sinr(
     # Noise-free received slot = a * (sum of active signatures).
     slot_sums = np.stack([sigs.signatures[act].sum(axis=0) for act in active])
     signal = T * a2  # desired part of the combined matched-filter output
+    # The noise-free residual (coherent cross-correlation interference) is
+    # the same in every trial; only the filtered noise is drawn.
+    clean_residual = a * (a * slot_sums @ desired_conj).sum() - signal
 
-    children = np.random.SeedSequence(seed).spawn(trials)
+    n_blocks = -(-trials // _BLOCK)
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
     res_power = np.empty(trials, dtype=float)
 
-    def run_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = np.random.default_rng(children[i])
-            z = (rng.standard_normal((T, m)) + 1j * rng.standard_normal((T, m))) * scale
-            received = a * slot_sums + z
-            combined = a * (received @ desired_conj).sum()
-            residual = combined - signal
-            res_power[i] = residual.real**2 + residual.imag**2
+    def run_block(k: int) -> None:
+        lo = k * _BLOCK
+        hi = min(lo + _BLOCK, trials)
+        rng = np.random.default_rng(children[k])
+        draws = rng.standard_normal((hi - lo, T, m, 2))
+        draws *= scale
+        z = draws.view(complex)[..., 0]  # (block, T, m) complex noise
+        residual = clean_residual + a * (z @ desired_conj).sum(axis=1)
+        res_power[lo:hi] = residual.real**2 + residual.imag**2
 
     if workers == 1:
-        run_range(0, trials)
+        for k in range(n_blocks):
+            run_block(k)
     else:
-        bounds = [trials * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_range, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if lo < hi
-            ]
-            for fut in futures:
-                fut.result()
+        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+            list(pool.map(run_block, range(n_blocks)))
 
     mean_res = float(np.sum(res_power)) / trials
     mean_sinr = signal * signal / mean_res

@@ -180,6 +180,14 @@ def test_invalid_parameters_exit_2_and_name_the_parameter(capsys):
     assert "J" in capsys.readouterr().err
 
 
+def test_non_finite_parameter_exits_2_with_one_error_line(capsys):
+    assert main(["point", "--rho", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "rho" in captured.err
+
+
 def test_curve_grid_validation_errors(capsys):
     assert main(["curve", *REF_ARGS, "--grid-points", "1"]) == 2
     assert "grid" in capsys.readouterr().err

@@ -432,11 +432,21 @@ def test_qinv_round_trips_through_tail_probability():
         (dict(B=0), "B"),
         (dict(c_buf=0.0), "c_buf"),
         (dict(L=0.0), "L"),
+        (dict(rho=float("inf")), "rho"),
+        (dict(J=float("inf")), "J"),
+        (dict(sigma2=float("inf")), "sigma2"),
     ],
 )
 def test_invalid_parameters_name_the_offender(kwargs, needle):
     with pytest.raises(ValueError, match=needle):
         SchemeParams(**kwargs)
+
+
+def test_infinite_buffer_stays_valid_and_finite():
+    # c_buf = inf is the unbounded-buffer limit, not an invalid input
+    m = eval_ir_oma(SchemeParams(rho=1.0, T=2, J=4.0, c_buf=float("inf")), Regime.SUM_OPTIMAL)
+    assert m.se == 1.160964047443681
+    assert math.isfinite(m.ebn0_linear)
 
 
 def test_integer_like_counts_are_coerced():
