@@ -7,8 +7,9 @@ Subcommands
     limits    print every applicable closed-form floor/limit
     validate  run the Monte-Carlo oracle against the closed form
 
-A config file of ``key = value`` lines (--config) can supply any flag; flags
-given on the command line override it.  Relative --output paths are placed
+A config file of ``key = value`` lines (--config) can supply any flag, keyed
+by the flag name with ``_`` for ``-``; flags given on the command line
+override it.  Both are declared once, in ``OPTIONS``.  Relative --output paths are placed
 under $HARQSCALE_OUT_DIR when that is set.  Tables go to stdout when no
 --output is given.
 
@@ -23,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -42,72 +43,58 @@ from .tables import curve_to_csv, curve_to_json
 
 OUT_DIR_ENV = "HARQSCALE_OUT_DIR"
 
-_CONVERT = {
-    "scheme": str, "regime": str,
-    "rho": float, "T": int, "J": float, "eta": float, "sigma2": float,
-    "B": int, "c_buf": float, "L": float,
-    "grid_min": float, "grid_max": float, "grid_points": int, "grid_scale": str,
-    "trials": int, "seed": int, "workers": int, "m": int,
-    "users_per_slot": int, "tolerance": float, "mode": str,
-    "output": str, "format": str,
-}
+_ALL = ("point", "curve", "density", "limits", "validate")
+_CURVES = ("curve", "density")
 
-_DEFAULTS = {
-    "scheme": "classical", "regime": "sum",
-    "rho": 1.0, "T": 1, "J": 1.0, "eta": 1.0, "sigma2": 1.0,
-    "B": 1, "c_buf": 10.0, "L": 100.0,
-    "grid_min": 1e-3, "grid_max": 1e2, "grid_points": 60, "grid_scale": "log",
-    "trials": 2000, "seed": 0, "workers": 1, "m": 64,
-    "users_per_slot": 5, "tolerance": 0.05, "mode": "waveform",
-    "output": None, "format": "csv",
+
+@dataclass(frozen=True)
+class Option:
+    """One flag and config key: ``--grid-min`` on the command line is
+    ``grid_min`` in a config file."""
+
+    type: type
+    default: object
+    commands: tuple[str, ...] = _ALL
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+
+
+# The SchemeParams fields become options named, typed and defaulted as
+# declared there; the run-only options are listed here once.
+OPTIONS = {
+    "scheme": Option(str, "classical", choices=tuple(s.value for s in Scheme)),
+    "regime": Option(str, "sum", choices=tuple(r.value for r in Regime)),
+    **{f.name: Option(type(f.default), f.default) for f in fields(SchemeParams)},
+    "output": Option(str, None, metavar="PATH"),
+    "format": Option(str, "csv", choices=("csv", "json")),
+    "workers": Option(int, 1),
+    "grid_min": Option(float, 1e-3, _CURVES),
+    "grid_max": Option(float, 1e2, _CURVES),
+    "grid_points": Option(int, 60, _CURVES),
+    "grid_scale": Option(str, "log", _CURVES, ("log", "linear")),
+    "users_per_slot": Option(int, 5, ("validate",)),
+    "trials": Option(int, 2000, ("validate",)),
+    "seed": Option(int, 0, ("validate",)),
+    "m": Option(int, 64, ("validate",)),
+    "tolerance": Option(float, 0.05, ("validate",)),
+    "mode": Option(str, "waveform", ("validate",), ("waveform", "amplitude")),
 }
 
 # validate exercises the non-orthogonal construction, which needs eta < 1
 # (and a user count that satisfies J >= T once T is bumped to 2)
 _VALIDATE_DEFAULTS = {"eta": 0.1, "T": 2, "J": 10.0}
 
-_SCHEMES = [s.value for s in Scheme]
-_REGIMES = [r.value for r in Regime]
 
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     command: str
     scheme: Scheme
     regime: Regime
     params: SchemeParams
-    grid_min: float
-    grid_max: float
-    grid_points: int
-    grid_scale: str
-    trials: int
-    seed: int
-    workers: int
-    m: int
-    users_per_slot: int
-    tolerance: float
-    mode: str
-    output: str | None
-    fmt: str
+    options: dict[str, object]  # every run-only option by name, merged
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="key = value config file")
-    common.add_argument("--scheme", choices=_SCHEMES)
-    common.add_argument("--regime", choices=_REGIMES)
-    common.add_argument("--rho", type=float)
-    common.add_argument("--T", type=int)
-    common.add_argument("--J", type=float)
-    common.add_argument("--eta", type=float)
-    common.add_argument("--sigma2", type=float)
-    common.add_argument("--B", type=int)
-    common.add_argument("--c-buf", dest="c_buf", type=float)
-    common.add_argument("--L", type=float)
-    common.add_argument("--output", metavar="PATH")
-    common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--workers", type=int)
-
     parser = argparse.ArgumentParser(
         prog="harqscale",
         description="SE / SNR-per-bit / user-density scaling laws for "
@@ -115,28 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"harqscale {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("point", parents=[common], help="evaluate one operating point")
-
-    for name, help_ in (
-        ("curve", "sweep rho, emit SE vs Eb/N0"),
-        ("density", "sweep J, emit user density vs Eb/N0"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=help_)
-        p.add_argument("--grid-min", dest="grid_min", type=float)
-        p.add_argument("--grid-max", dest="grid_max", type=float)
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--grid-scale", dest="grid_scale", choices=["log", "linear"])
-
-    sub.add_parser("limits", parents=[common], help="print applicable closed-form limits")
-
-    v = sub.add_parser("validate", parents=[common], help="Monte-Carlo vs closed form")
-    v.add_argument("--users-per-slot", dest="users_per_slot", type=int)
-    v.add_argument("--trials", type=int)
-    v.add_argument("--seed", type=int)
-    v.add_argument("--m", type=int)
-    v.add_argument("--tolerance", type=float)
-    v.add_argument("--mode", choices=["waveform", "amplitude"])
+    for command, (_, help_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        p.add_argument("--config", metavar="FILE", help="key = value config file")
+        for key, opt in OPTIONS.items():
+            if command in opt.commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
+                               choices=opt.choices, metavar=opt.metavar)
     return parser
 
 
@@ -159,19 +131,24 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def _merged(ns: argparse.Namespace) -> dict:
     """Flags override config-file values override package defaults."""
-    file_vals = read_config_file(ns.config) if getattr(ns, "config", None) else {}
+    file_vals = read_config_file(ns.config) if ns.config else {}
     for key in file_vals:
-        if key not in _CONVERT:
+        if key not in OPTIONS:
             raise ConfigError(f"config: unknown key {key!r}")
-    merged = dict(_DEFAULTS)
+    merged = {key: opt.default for key, opt in OPTIONS.items()}
     if ns.command == "validate":
         merged.update(_VALIDATE_DEFAULTS)
-    for key, conv in _CONVERT.items():
+    for key, opt in OPTIONS.items():
         if key in file_vals:
             try:
-                merged[key] = conv(file_vals[key])
+                merged[key] = opt.type(file_vals[key])
             except ValueError as exc:
                 raise ConfigError(f"config: bad value for {key}: {file_vals[key]!r}") from exc
+            if opt.choices and merged[key] not in opt.choices:
+                raise ConfigError(
+                    f"config: bad value for {key}: {file_vals[key]!r} "
+                    f"(choose from {', '.join(opt.choices)})"
+                )
         flag = getattr(ns, key, None)
         if flag is not None:
             merged[key] = flag
@@ -180,25 +157,15 @@ def _merged(ns: argparse.Namespace) -> dict:
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     m = _merged(ns)
-    if m["scheme"] not in _SCHEMES:
-        raise ConfigError(f"scheme must be one of {_SCHEMES}, got {m['scheme']!r}")
-    if m["regime"] not in _REGIMES:
-        raise ConfigError(f"regime must be one of {_REGIMES}, got {m['regime']!r}")
-    if m["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {m['format']!r}")
-    j_base = m["J"]
-    if ns.command == "density" and j_base < m["T"]:
+    if ns.command == "density" and m["J"] < m["T"]:
         # density sweeps J, so the base value is ignored; keep it compatible
         # with T instead of rejecting the (unused) default
-        j_base = float(m["T"])
+        m["J"] = float(m["T"])
     try:
-        params = SchemeParams(
-            rho=m["rho"], T=m["T"], J=j_base, eta=m["eta"],
-            sigma2=m["sigma2"], B=m["B"], c_buf=m["c_buf"], L=m["L"],
-        )
+        params = SchemeParams(**{f.name: m.pop(f.name) for f in fields(SchemeParams)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if ns.command in ("curve", "density"):
+    if ns.command in _CURVES:
         if not m["grid_min"] < m["grid_max"]:
             raise ConfigError(
                 f"grid_min must be < grid_max, got {m['grid_min']!r} >= {m['grid_max']!r}"
@@ -210,17 +177,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{key} must be >= 1, got {m[key]!r}")
     if not m["tolerance"] > 0:
         raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
-    return RunConfig(
-        command=ns.command,
-        scheme=Scheme(m["scheme"]),
-        regime=Regime(m["regime"]),
-        params=params,
-        grid_min=m["grid_min"], grid_max=m["grid_max"],
-        grid_points=m["grid_points"], grid_scale=m["grid_scale"],
-        trials=m["trials"], seed=m["seed"], workers=m["workers"], m=m["m"],
-        users_per_slot=m["users_per_slot"], tolerance=m["tolerance"], mode=m["mode"],
-        output=m["output"], fmt=m["format"],
-    )
+    return RunConfig(ns.command, Scheme(m["scheme"]), Regime(m["regime"]), params, m)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -237,7 +194,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_point(cfg: RunConfig) -> int:
     metrics = evaluate(cfg.scheme, cfg.regime, cfg.params)
-    if cfg.fmt == "json":
+    if cfg.options["format"] == "json":
         text = json.dumps(
             {"se": metrics.se, "ebn0_linear": metrics.ebn0_linear, "ebn0_db": metrics.ebn0_db},
             sort_keys=True,
@@ -247,18 +204,19 @@ def _cmd_point(cfg: RunConfig) -> int:
             f"se={metrics.se!r} ebn0_linear={metrics.ebn0_linear!r} "
             f"ebn0_db={metrics.ebn0_db!r}\n"
         )
-    _emit(text, cfg.output)
+    _emit(text, cfg.options["output"])
     return 0
 
 
 def _cmd_curve(cfg: RunConfig) -> int:
-    grid = make_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points, cfg.grid_scale)
+    o = cfg.options
+    grid = make_grid(o["grid_min"], o["grid_max"], o["grid_points"], o["grid_scale"])
     if cfg.command == "curve":
         curve = se_curve(cfg.scheme, cfg.regime, cfg.params, grid)
     else:
         curve = density_curve(cfg.scheme, cfg.regime, cfg.params, grid)
-    text = curve_to_json(curve, __version__) if cfg.fmt == "json" else curve_to_csv(curve)
-    _emit(text, cfg.output)
+    text = curve_to_json(curve, __version__) if o["format"] == "json" else curve_to_csv(curve)
+    _emit(text, o["output"])
     return 0
 
 
@@ -282,18 +240,19 @@ def _cmd_limits(cfg: RunConfig) -> int:
         lines.append(f"{r.kind.value} linear={r.value_linear!r} db={r.value_db!r}")
     if not lines:
         lines.append(f"no closed-form limits for {cfg.scheme.value}/{cfg.regime.value}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", cfg.options["output"])
     return 0
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    users, T = cfg.users_per_slot, cfg.params.T
+    o = cfg.options
+    users, T = o["users_per_slot"], cfg.params.T
     counts = (users,) * T
-    if cfg.mode == "waveform":
-        sigs = make_equicorrelated_signatures(cfg.m, users, cfg.params.eta)
+    if o["mode"] == "waveform":
+        sigs = make_equicorrelated_signatures(o["m"], users, cfg.params.eta)
         est = simulate_cc_noma_sinr(
             sigs, cfg.params.rho, cfg.params.sigma2, T,
-            [range(users)] * T, 0, cfg.trials, cfg.seed, cfg.workers,
+            [range(users)] * T, 0, o["trials"], o["seed"], o["workers"],
         )
         reference = analytic_sinr(Scheme.CC_NOMA, cfg.params.rho, T, counts, cfg.params.eta)
         rel_err = abs(est.mean - reference) / reference
@@ -304,32 +263,32 @@ def _cmd_validate(cfg: RunConfig) -> int:
     else:
         amplitude = math.sqrt(cfg.params.rho * cfg.params.sigma2)
         rel_err = verify_cc_oma_noise_expansion(
-            amplitude, counts, cfg.params.sigma2, cfg.trials, cfg.seed
+            amplitude, counts, cfg.params.sigma2, o["trials"], o["seed"]
         )
         detail = f"amplitude={amplitude!r}"
-    passed = rel_err <= cfg.tolerance
+    passed = rel_err <= o["tolerance"]
     text = (
-        f"mode={cfg.mode} eta={cfg.params.eta!r} T={T} users_per_slot={users} "
-        f"rho={cfg.params.rho!r} sigma2={cfg.params.sigma2!r} m={cfg.m} "
-        f"trials={cfg.trials} seed={cfg.seed}\n"
-        f"{detail} rel_err={rel_err!r} tolerance={cfg.tolerance!r}\n"
+        f"mode={o['mode']} eta={cfg.params.eta!r} T={T} users_per_slot={users} "
+        f"rho={cfg.params.rho!r} sigma2={cfg.params.sigma2!r} m={o['m']} "
+        f"trials={o['trials']} seed={o['seed']}\n"
+        f"{detail} rel_err={rel_err!r} tolerance={o['tolerance']!r}\n"
         f"{'PASS' if passed else 'FAIL'}\n"
     )
-    _emit(text, cfg.output)
+    _emit(text, o["output"])
     return 0 if passed else 3
 
 
 _COMMANDS = {
-    "point": _cmd_point,
-    "curve": _cmd_curve,
-    "density": _cmd_curve,
-    "limits": _cmd_limits,
-    "validate": _cmd_validate,
+    "point": (_cmd_point, "evaluate one operating point"),
+    "curve": (_cmd_curve, "sweep rho, emit SE vs Eb/N0"),
+    "density": (_cmd_curve, "sweep J, emit user density vs Eb/N0"),
+    "limits": (_cmd_limits, "print applicable closed-form limits"),
+    "validate": (_cmd_validate, "Monte-Carlo vs closed form"),
 }
 
 
 def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
+    return _COMMANDS[config.command][0](config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateRate, InvalidSlot, NegativeDenominator
+from .errors import DegenerateRate, InvalidSlot, NegativeDenominator, UnsupportedCombination
 from .params import Regime, Scheme, SchemeParams
 
 _LN2 = math.log(2.0)
@@ -49,8 +49,12 @@ class Metrics:
     ebn0_db: float      # 10*log10(ebn0_linear), fixed at construction
 
 
+def _db(linear: float) -> float:
+    return 10.0 * math.log10(linear)
+
+
 def _metrics(se: float, ebn0: float) -> Metrics:
-    return Metrics(se, ebn0, 10.0 * math.log10(ebn0))
+    return Metrics(se, ebn0, _db(ebn0))
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,27 @@ def eval_classical(params: SchemeParams, regime: Regime) -> Metrics:
     return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
 
 
+def _cc_noma_sum_gain(params: SchemeParams) -> float:
+    """CC-NOMA sum-optimal SINR per unit rho*T: 1 + eta^2*(J/T - 1)^2."""
+    p = params
+    return 1.0 + p.eta**2 * (p.J / p.T - 1.0) ** 2
+
+
+def combined_sinr(scheme: Scheme, rho: float, T: int, J: float, eta: float) -> float:
+    """Post-combining SINR of chase combining, J transmissions over T slots.
+
+    CC-NOMA: the J - T interfering transmissions add coherently, hence the
+    squared term scaled by eta^2.  CC-OMA: orthogonal resources leak only
+    through the shared slot budget, hence the linear term (eta unused).  The
+    TIN evaluators and the Monte-Carlo oracle's reference both call this.
+    """
+    if scheme is Scheme.CC_NOMA:
+        return rho * T**2 / (T + rho * eta**2 * (J - T) ** 2)
+    if scheme is Scheme.CC_OMA:
+        return rho * T / (rho * (J / T - 1.0) + 1.0)
+    raise UnsupportedCombination(f"no combined-receiver SINR form for {scheme.value}")
+
+
 def eval_cc_noma(params: SchemeParams, regime: Regime) -> Metrics:
     """Chase combining over T non-orthogonal attempts.
 
@@ -100,10 +125,10 @@ def eval_cc_noma(params: SchemeParams, regime: Regime) -> Metrics:
     _require_rate(params)
     p = params
     if regime is Regime.SUM_OPTIMAL:
-        sinr = p.rho * p.T * (1.0 + p.eta**2 * (p.J / p.T - 1.0) ** 2)
+        sinr = p.rho * p.T * _cc_noma_sum_gain(p)
         bits = _log2(1.0 + sinr)
         return _metrics(0.5 * bits, p.J * p.sigma2 * p.rho / bits)
-    sinr = p.rho * p.T**2 / (p.T + p.rho * p.eta**2 * (p.J - p.T) ** 2)
+    sinr = combined_sinr(Scheme.CC_NOMA, p.rho, p.T, p.J, p.eta)
     bits = _log2(1.0 + sinr)
     return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
 
@@ -117,7 +142,7 @@ def eval_cc_oma(params: SchemeParams, regime: Regime) -> Metrics:
         sinr = p.rho * p.T * (1.0 + (1.0 / p.T) * (p.J / p.T - 1.0))
         bits = _log2(1.0 + sinr)
         return _metrics(0.5 * bits, p.J * p.sigma2 * p.rho / bits)
-    sinr = p.rho * p.T / (p.rho * (p.J / p.T - 1.0) + 1.0)
+    sinr = combined_sinr(Scheme.CC_OMA, p.rho, p.T, p.J, p.eta)
     bits = _log2(1.0 + sinr)
     return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
 

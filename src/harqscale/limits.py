@@ -12,15 +12,12 @@ Everything is returned linear-first with a dB companion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .closedform import eval_classical, total_power
+from .closedform import _LN2, _cc_noma_sum_gain, _db, eval_classical, total_power
 from .errors import UnsupportedCombination
 from .params import Regime, Scheme, SchemeParams
-
-_LN2 = math.log(2.0)
 
 
 class LimitKind(Enum):
@@ -44,7 +41,7 @@ class LimitResult:
 
 
 def _result(value: float, kind: LimitKind) -> LimitResult:
-    return LimitResult(value, 10.0 * math.log10(value), kind)
+    return LimitResult(value, _db(value), kind)
 
 
 def ebn0_floor(scheme: Scheme, regime: Regime, params: SchemeParams) -> LimitResult:
@@ -56,7 +53,7 @@ def ebn0_floor(scheme: Scheme, regime: Regime, params: SchemeParams) -> LimitRes
     """
     p = params
     if scheme is Scheme.CC_NOMA and regime is Regime.SUM_OPTIMAL:
-        value = _LN2 * p.J * p.sigma2 / (p.T * (1.0 + p.eta**2 * (p.J / p.T - 1.0) ** 2))
+        value = _LN2 * p.J * p.sigma2 / (p.T * _cc_noma_sum_gain(p))
         return _result(value, LimitKind.FLOOR_SE_TO_ZERO)
     if scheme in (Scheme.CC_NOMA, Scheme.CC_OMA) and regime is Regime.TIN:
         return _result(_LN2 * p.sigma2, LimitKind.FLOOR_SE_TO_ZERO)

@@ -41,8 +41,8 @@ class SchemeParams:
 
     ``rho = 0`` is storable (the evaluators reject it with DegenerateRate,
     limit values live in :mod:`harqscale.limits`); everything else follows the
-    physical ranges.  ``rho``, ``J`` and ``sigma2`` must be finite;
-    ``c_buf = inf`` is allowed and means an unbounded combining buffer.
+    physical ranges.  Every value but ``c_buf`` must be finite; ``c_buf = inf``
+    is allowed and means an unbounded combining buffer.
     """
 
     rho: float = 1.0
@@ -57,7 +57,7 @@ class SchemeParams:
     def __post_init__(self) -> None:
         for name in ("T", "B"):
             raw = getattr(self, name)
-            if raw != int(raw):
+            if not math.isfinite(raw) or raw != int(raw):
                 raise ValueError(f"{name} must be an integer, got {raw!r}")
             object.__setattr__(self, name, int(raw))
         if not 0 <= self.rho < math.inf:
@@ -74,5 +74,5 @@ class SchemeParams:
             raise ValueError(f"B must be >= 1, got {self.B!r}")
         if not self.c_buf > 0:
             raise ValueError(f"c_buf must be > 0, got {self.c_buf!r}")
-        if not self.L > 0:
-            raise ValueError(f"L must be > 0, got {self.L!r}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be finite and > 0, got {self.L!r}")

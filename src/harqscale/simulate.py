@@ -36,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DesiredInactive, DimensionTooSmall, UnsupportedCombination
+from .closedform import combined_sinr
+from .errors import DesiredInactive, DimensionTooSmall
 from .params import Scheme
 
 # Trials per block: one generator, one draw buffer (1 MiB at T = 4, m = 64)
@@ -215,24 +216,16 @@ def analytic_sinr(
     per_slot_counts: Sequence[int],
     eta: float = 0.0,
 ) -> float:
-    """Closed-form post-combining SINR for chase combining.
-
-    Non-orthogonal signatures: interference from the (sum_t J_t - T)
-    non-desired transmissions adds coherently, hence the squared term scaled
-    by eta^2.  Orthogonal resources leak only through the shared slot budget,
-    hence the linear term.
+    """Closed-form post-combining SINR for chase combining with the given
+    per-slot user counts: :func:`harqscale.closedform.combined_sinr` at
+    J = sum of the counts, the same function the TIN evaluators call.
     """
     counts = [int(c) for c in per_slot_counts]
     if len(counts) != T:
         raise ValueError(f"per_slot_counts has {len(counts)} slots, expected T={T}")
     if any(c < 1 for c in counts):
         raise ValueError(f"every slot needs >= 1 user, got {counts!r}")
-    extra = float(sum(counts) - T)
-    if scheme is Scheme.CC_NOMA:
-        return rho * T**2 / (T + rho * eta**2 * extra**2)
-    if scheme is Scheme.CC_OMA:
-        return rho * T**2 / (T + rho * extra)
-    raise UnsupportedCombination(f"no combined-receiver SINR form for {scheme.value}")
+    return combined_sinr(scheme, rho, T, float(sum(counts)), eta)
 
 
 def verify_cc_oma_noise_expansion(

@@ -98,17 +98,13 @@ def density_curve(
     regime: Regime,
     params: SchemeParams,
     j_grid: Sequence[float],
-    L: float | None = None,
 ) -> Curve:
-    """User density (users per rdof = SE / payload) against SNR per bit.
+    """User density (users per rdof = SE / params.L) against SNR per bit.
 
-    Swept over the user count J at fixed rho; ``L`` overrides params.L.
+    Swept over the user count J at fixed rho.
     """
     grid = _check_ascending(j_grid, "J")
-    payload = params.L if L is None else float(L)
-    if not payload > 0:
-        raise ValueError(f"L must be > 0, got {payload!r}")
-    return _sweep(scheme, regime, params, grid, "J", lambda m: m.se / payload)
+    return _sweep(scheme, regime, params, grid, "J", lambda m: m.se / params.L)
 
 
 def min_ebn0(curve: Curve) -> tuple[float, float]:

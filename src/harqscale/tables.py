@@ -9,6 +9,7 @@ table reproduces every value bit-for-bit.  Output is locale-independent:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .sweep import Curve
 
@@ -29,16 +30,7 @@ def curve_to_json(curve: Curve, version: str) -> str:
         "meta": {
             "scheme": curve.scheme.value,
             "regime": curve.regime.value,
-            "params": {
-                "rho": curve.params.rho,
-                "T": curve.params.T,
-                "J": curve.params.J,
-                "eta": curve.params.eta,
-                "sigma2": curve.params.sigma2,
-                "B": curve.params.B,
-                "c_buf": curve.params.c_buf,
-                "L": curve.params.L,
-            },
+            "params": asdict(curve.params),
             "skipped": curve.skipped,
             "version": version,
         },

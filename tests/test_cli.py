@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in-process through main(argv)."""
 
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_curve_json_carries_run_metadata(tmp_path):
     assert doc["meta"]["scheme"] == "cc-noma"
     assert doc["meta"]["regime"] == "sum"
     assert doc["meta"]["skipped"] == 0
-    assert doc["meta"]["params"]["J"] == 10.0
+    assert doc["meta"]["params"] == asdict(SchemeParams(rho=1.0, T=2, J=10.0, eta=1.0))
     assert doc["sweep_var"] == "rho"
     assert len(doc["points"]) == 3 and len(doc["grid"]) == 3
     assert doc["points"][1]["y"] == 2.564641508472483
@@ -159,6 +160,45 @@ def test_config_file_supplies_values_and_flags_override(tmp_path, capsys):
     assert "se=0.2122222439662824" in out2  # flag wins over the file
 
 
+# a valid value other than the default for every SchemeParams field
+FIELD_VALUES = {"rho": "0.5", "T": "3", "J": "12", "eta": "0.25", "sigma2": "2",
+                "B": "2", "c_buf": "4", "L": "50"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SchemeParams)])
+def test_parameter_from_flag_or_config_gives_the_same_run(name, tmp_path, capsys):
+    # point prints the metrics, curve's JSON meta carries every parameter
+    value = FIELD_VALUES[name]
+    base = {"scheme": "ir-oma", "regime": "tin", "T": "2", "J": "10"}
+    base.pop(name, None)
+    base_args = [a for k, v in base.items() for a in (f"--{k}", v)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    for cmd in (["point"], ["curve", "--grid-points", "3"]):
+        argv = [*cmd, *base_args, "--format", "json"]
+        assert main([*argv, "--" + name.replace("_", "-"), value]) == 0
+        from_flag = capsys.readouterr().out
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flag
+    field_type = type(getattr(SchemeParams(), name))
+    assert json.loads(from_flag)["meta"]["params"][name] == field_type(value)
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("point", "scheme"), ("point", "regime"), ("point", "format"),
+     ("curve", "grid_scale"), ("validate", "mode")],
+)
+def test_config_value_outside_choices_exits_2_naming_the_key(command, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = bogus\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert key in captured.err
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rho = 1.0\nbandwidth = 5\n")
@@ -186,6 +226,14 @@ def test_non_finite_parameter_exits_2_with_one_error_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "rho" in captured.err
+
+
+def test_infinite_payload_exits_2_naming_l(capsys):
+    assert main(["density", "--L", "inf", "--T", "2", "--scheme", "cc-noma"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "L" in captured.err
 
 
 def test_curve_grid_validation_errors(capsys):

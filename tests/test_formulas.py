@@ -435,6 +435,10 @@ def test_qinv_round_trips_through_tail_probability():
         (dict(rho=float("inf")), "rho"),
         (dict(J=float("inf")), "J"),
         (dict(sigma2=float("inf")), "sigma2"),
+        (dict(T=float("inf")), "T"),
+        (dict(B=float("inf")), "B"),
+        (dict(T=float("nan")), "T"),
+        (dict(L=float("inf")), "L"),
     ],
 )
 def test_invalid_parameters_name_the_offender(kwargs, needle):

@@ -16,7 +16,7 @@ from harqscale import (
     SchemeParams,
     UnsupportedCombination,
     analytic_sinr,
-    eval_cc_noma,
+    evaluate,
     make_equicorrelated_signatures,
     make_frame,
     make_random_signatures,
@@ -234,11 +234,15 @@ def test_analytic_sinr_reference_values():
 
 
 def test_analytic_sinr_matches_tin_evaluator_at_uniform_load():
-    # same closed form as the TIN chase-combining evaluator at J_t = J/T per slot
-    p = SchemeParams(rho=1.0, T=2, J=10.0, eta=0.1)
-    sinr = analytic_sinr(Scheme.CC_NOMA, 1.0, 2, (5, 5), 0.1)
-    m = eval_cc_noma(p, Regime.TIN)
-    assert rel(m.se, (p.J / (2 * p.T)) * math.log2(1.0 + sinr)) < 1e-12
+    # the oracle's reference is the TIN chase-combining evaluator's SINR at
+    # J_t = J/T per slot, to the last bit (rho = 0.3, T = 3, 4 users per slot
+    # tells a restated CC-OMA form apart by rounding)
+    for scheme in (Scheme.CC_NOMA, Scheme.CC_OMA):
+        for rho, T, users, eta in [(1.0, 2, 5, 0.1), (0.3, 3, 4, 0.2), (2.5, 4, 7, 0.05)]:
+            p = SchemeParams(rho=rho, T=T, J=float(T * users), eta=eta)
+            sinr = analytic_sinr(scheme, rho, T, [users] * T, eta)
+            m = evaluate(scheme, Regime.TIN, p)
+            assert m.se == (p.J / (2.0 * p.T)) * (math.log(1.0 + sinr) / math.log(2.0))
 
 
 def test_analytic_sinr_validation():
