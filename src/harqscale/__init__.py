@@ -45,13 +45,9 @@ from .limits import (
 )
 from .params import Regime, Scheme, SchemeParams
 from .simulate import (
-    FrameRealization,
-    SignatureSet,
     SinrEstimate,
     analytic_sinr,
     make_equicorrelated_signatures,
-    make_frame,
-    make_random_signatures,
     simulate_cc_noma_sinr,
     verify_cc_oma_noise_expansion,
 )
@@ -75,7 +71,6 @@ __all__ = [
     "DesiredInactive",
     "DimensionTooSmall",
     "EmptyCurve",
-    "FrameRealization",
     "GridMismatch",
     "HarqScaleError",
     "Hold",
@@ -88,7 +83,6 @@ __all__ = [
     "Regime",
     "Scheme",
     "SchemeParams",
-    "SignatureSet",
     "SinrEstimate",
     "UnsupportedCombination",
     "analytic_sinr",
@@ -108,9 +102,7 @@ __all__ = [
     "find_crossing",
     "ir_quant_noise",
     "make_equicorrelated_signatures",
-    "make_frame",
     "make_grid",
-    "make_random_signatures",
     "min_ebn0",
     "qinv",
     "se_curve",

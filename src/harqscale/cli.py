@@ -67,7 +67,7 @@ OPTIONS = {
     **{f.name: Option(type(f.default), f.default) for f in fields(SchemeParams)},
     "output": Option(str, None, metavar="PATH"),
     "format": Option(str, "csv", choices=("csv", "json")),
-    "workers": Option(int, 1),
+    "workers": Option(int, 1, ("validate",)),
     "grid_min": Option(float, 1e-3, _CURVES),
     "grid_max": Option(float, 1e2, _CURVES),
     "grid_points": Option(int, 60, _CURVES),
@@ -172,11 +172,12 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
             )
         if m["grid_points"] < 2:
             raise ConfigError(f"grid_points must be >= 2 for curves, got {m['grid_points']!r}")
-    for key in ("trials", "workers", "m", "users_per_slot"):
-        if m[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {m[key]!r}")
-    if not m["tolerance"] > 0:
-        raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
+    if ns.command == "validate":
+        for key in ("trials", "workers", "m", "users_per_slot"):
+            if m[key] < 1:
+                raise ConfigError(f"{key} must be >= 1, got {m[key]!r}")
+        if not m["tolerance"] > 0:
+            raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
     return RunConfig(ns.command, Scheme(m["scheme"]), Regime(m["regime"]), params, m)
 
 
@@ -187,8 +188,11 @@ def _emit(text: str, output: str | None) -> None:
     path = Path(output)
     if not path.is_absolute() and os.environ.get(OUT_DIR_ENV):
         path = Path(os.environ[OUT_DIR_ENV]) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {str(path)!r}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
 
 

@@ -10,13 +10,9 @@ estimator splits that statistic into the deterministic desired component
 T*rho*sigma2 and a residual (coherent cross-correlation interference plus
 filtered noise) whose mean power defines the empirical SINR.
 
-Two signature constructions are provided.  The equi-correlated one pins every
-pairwise inner product to exactly eta and is the construction the closed forms
-assume (cross-slot interference adds coherently, giving the squared-sum term).
-I.i.d. Gaussian signatures are for exploratory runs only: their mean
-interference power grows linearly, not quadratically, in the total number of
-interfering transmissions, so they are not a validation target for the
-chase-combining formula.
+The signatures are equi-correlated: every pairwise inner product is exactly
+eta, the construction the closed forms assume (cross-slot interference adds
+coherently, giving the squared-sum term).
 
 Determinism: trials run in fixed blocks of 256; block k draws its noise from
 child k of ``SeedSequence(seed)``, so the random streams are keyed by block
@@ -46,21 +42,9 @@ from .params import Scheme
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class SignatureSet:
-    """J unit-norm signatures of length m, rows of ``signatures``."""
-
-    m: int
-    signatures: np.ndarray  # (J, m) complex
-    construction: str
-
-    @property
-    def J(self) -> int:
-        return self.signatures.shape[0]
-
-
-def make_equicorrelated_signatures(m: int, J: int, eta: float) -> SignatureSet:
-    """Signatures with every pairwise inner product exactly eta.
+def make_equicorrelated_signatures(m: int, J: int, eta: float) -> np.ndarray:
+    """J unit-norm signatures of length m, the rows of a (J, m) complex
+    array, with every pairwise inner product exactly eta.
 
     S_j = sqrt(1-eta)*e_j + sqrt(eta)*u over the orthonormal set
     {e_1..e_J, u}, which needs m >= J+1 dimensions.
@@ -74,52 +58,7 @@ def make_equicorrelated_signatures(m: int, J: int, eta: float) -> SignatureSet:
     for j in range(J):
         sigs[j, j] = spike
     sigs[:, J] = common
-    return SignatureSet(m, sigs, f"equicorrelated(eta={eta!r})")
-
-
-def make_random_signatures(m: int, J: int, seed: int) -> SignatureSet:
-    """I.i.d. complex-Gaussian signatures, normalized to unit norm."""
-    if m < 1 or J < 1:
-        raise ValueError(f"need m >= 1 and J >= 1, got m={m!r}, J={J!r}")
-    rng = np.random.default_rng(seed)
-    sigs = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))
-    sigs /= np.linalg.norm(sigs, axis=1, keepdims=True)
-    return SignatureSet(m, sigs, f"gaussian(seed={seed!r})")
-
-
-@dataclass(frozen=True)
-class FrameRealization:
-    """One Monte-Carlo draw: who transmitted what, the noise, the sum."""
-
-    active_sets: tuple[tuple[int, ...], ...]
-    amplitudes: tuple[np.ndarray, ...]  # per slot, aligned with active_sets
-    noise: tuple[np.ndarray, ...]       # per slot, m complex samples
-    received: tuple[np.ndarray, ...]    # signatures.T @ amplitudes + noise
-
-
-def make_frame(
-    sigs: SignatureSet,
-    rho: float,
-    sigma2: float,
-    active_per_slot: Sequence[Sequence[int]],
-    rng: np.random.Generator,
-) -> FrameRealization:
-    """Draw one frame: common real amplitude sqrt(rho*sigma2) per active user."""
-    a = math.sqrt(rho * sigma2)
-    scale = math.sqrt(sigma2 / 2.0)
-    sets, amps, noise, received = [], [], [], []
-    for slot in active_per_slot:
-        act = tuple(int(j) for j in slot)
-        if not all(0 <= j < sigs.J for j in act):
-            raise ValueError(f"active set {act!r} has indices outside 0..{sigs.J - 1}")
-        a_t = np.full(len(act), a, dtype=complex)
-        z_t = (rng.standard_normal(sigs.m) + 1j * rng.standard_normal(sigs.m)) * scale
-        y_t = sigs.signatures[list(act)].T @ a_t + z_t
-        sets.append(act)
-        amps.append(a_t)
-        noise.append(z_t)
-        received.append(y_t)
-    return FrameRealization(tuple(sets), tuple(amps), tuple(noise), tuple(received))
+    return sigs
 
 
 @dataclass(frozen=True)
@@ -131,7 +70,7 @@ class SinrEstimate:
 
 
 def simulate_cc_noma_sinr(
-    sigs: SignatureSet,
+    sigs: np.ndarray,
     rho: float,
     sigma2: float,
     T: int,
@@ -143,7 +82,8 @@ def simulate_cc_noma_sinr(
 ) -> SinrEstimate:
     """Estimate the post-combining matched-filter SINR of the desired user.
 
-    Per trial: fresh noise, received slots, MRC across the T slots, matched
+    ``sigs`` holds one unit-norm signature per row, shape (J, m).  Per
+    trial: fresh noise, received slots, MRC across the T slots, matched
     filter with the desired signature.  The desired component of that output
     is the trial-independent T*rho*sigma2; everything else (coherent
     cross-correlations plus filtered noise) is the residual.  The estimate is
@@ -157,22 +97,22 @@ def simulate_cc_noma_sinr(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
+    J, m = sigs.shape
     active = []
     for t, slot in enumerate(active_per_slot):
         act = [int(j) for j in slot]
         if desired not in act:
             raise DesiredInactive(f"desired user {desired} not active in slot {t + 1}")
-        if not all(0 <= j < sigs.J for j in act):
-            raise ValueError(f"slot {t + 1} active set has indices outside 0..{sigs.J - 1}")
+        if not all(0 <= j < J for j in act):
+            raise ValueError(f"slot {t + 1} active set has indices outside 0..{J - 1}")
         active.append(act)
 
     a2 = rho * sigma2
     a = math.sqrt(a2)
     scale = math.sqrt(sigma2 / 2.0)
-    m = sigs.m
-    desired_conj = np.conj(sigs.signatures[desired])
+    desired_conj = np.conj(sigs[desired])
     # Noise-free received slot = a * (sum of active signatures).
-    slot_sums = np.stack([sigs.signatures[act].sum(axis=0) for act in active])
+    slot_sums = np.stack([sigs[act].sum(axis=0) for act in active])
     signal = T * a2  # desired part of the combined matched-filter output
     # The noise-free residual (coherent cross-correlation interference) is
     # the same in every trial; only the filtered noise is drawn.

@@ -131,9 +131,8 @@ def test_curve_outputs_are_byte_identical_across_runs_and_workers(tmp_path):
     args = ["curve", *REF_ARGS, "--grid-min", "0.001", "--grid-max", "100",
             "--grid-points", "60"]
     paths = [tmp_path / f"c{i}.csv" for i in range(3)]
-    assert main([*args, "--output", str(paths[0])]) == 0
-    assert main([*args, "--output", str(paths[1])]) == 0
-    assert main([*args, "--workers", "4", "--output", str(paths[2])]) == 0
+    for path in paths:
+        assert main([*args, "--output", str(path)]) == 0
     blobs = [_read(p) for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -249,6 +248,34 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["point", "curve", "density", "limits"])
+def test_workers_flag_is_validate_only(command):
+    # only the simulator runs threads; elsewhere the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--workers", "4"])
+    assert exc.value.code == 2
+
+
+VALIDATE_KNOBS = {"trials": "0", "workers": "0", "m": "0", "users_per_slot": "0",
+                  "tolerance": "0"}
+
+
+def test_validate_knobs_in_a_config_are_checked_by_validate_only(tmp_path, capsys):
+    # every subcommand accepts every config key and ignores those it does not use
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in VALIDATE_KNOBS.items()))
+    assert main(["point", *REF_ARGS]) == 0
+    plain = capsys.readouterr().out
+    assert main(["point", *REF_ARGS, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["validate", "--config", str(cfg)]) == 2
+    for key, value in VALIDATE_KNOBS.items():
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and key in captured.err
+
+
 def test_output_dir_env_var_anchors_relative_paths(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HARQSCALE_OUT_DIR", str(tmp_path / "results"))
     assert main(["point", *REF_ARGS, "--output", "sub/point.txt"]) == 0
@@ -260,6 +287,25 @@ def test_output_dir_env_var_anchors_relative_paths(tmp_path, monkeypatch, capsys
     absolute = tmp_path / "abs.txt"
     assert main(["point", *REF_ARGS, "--output", str(absolute)]) == 0
     assert absolute.is_file()
+
+
+@pytest.mark.parametrize("where", ["empty", "directory", "config"])
+def test_unwritable_output_exits_2_with_one_error_line(where, tmp_path, monkeypatch, capsys):
+    # "" resolves to the working directory; like a directory it cannot be
+    # written as a file, from a flag or from an `output =` config line
+    monkeypatch.delenv("HARQSCALE_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    if where == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output =\n")
+        argv = ["--config", str(cfg)]
+    else:
+        argv = ["--output", "" if where == "empty" else str(tmp_path)]
+    assert main(["point", *REF_ARGS, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "output" in captured.err
 
 
 # ------------------------------------------------------------------ validate

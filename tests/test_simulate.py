@@ -1,6 +1,6 @@
-"""Link-level Monte-Carlo tests: signature constructions, frame draws, SINR
-estimates against the closed forms, determinism, and the amplitude-level
-noise-expansion check."""
+"""Link-level Monte-Carlo tests: the signature construction, the SINR kernel
+against the received-signal model written out in full, SINR estimates against
+the closed forms, determinism, and the amplitude-level noise-expansion check."""
 
 import math
 import sys
@@ -18,8 +18,6 @@ from harqscale import (
     analytic_sinr,
     evaluate,
     make_equicorrelated_signatures,
-    make_frame,
-    make_random_signatures,
     simulate_cc_noma_sinr,
     verify_cc_oma_noise_expansion,
 )
@@ -38,7 +36,7 @@ def rel(a: float, b: float) -> float:
 
 def test_equicorrelated_inner_products_are_exact():
     sigs = make_equicorrelated_signatures(11, 10, 0.1)
-    g = sigs.signatures @ sigs.signatures.conj().T
+    g = sigs @ sigs.conj().T
     for i in range(10):
         for j in range(10):
             want = 1.0 if i == j else 0.1
@@ -47,7 +45,7 @@ def test_equicorrelated_inner_products_are_exact():
 
 def test_equicorrelated_orthonormal_at_eta_zero():
     sigs = make_equicorrelated_signatures(8, 4, 0.0)
-    g = sigs.signatures @ sigs.signatures.conj().T
+    g = sigs @ sigs.conj().T
     assert np.array_equal(g, np.eye(4, dtype=complex))
 
 
@@ -65,69 +63,65 @@ def test_equicorrelated_eta_domain():
             make_equicorrelated_signatures(11, 10, bad)
 
 
-def test_random_signatures_unit_norm_and_weakly_correlated():
-    sigs = make_random_signatures(1024, 50, seed=1)
-    norms = np.linalg.norm(sigs.signatures, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-    g = sigs.signatures @ sigs.signatures.conj().T
-    off = g[~np.eye(50, dtype=bool)]
-    rms = math.sqrt(float(np.mean(np.abs(off) ** 2)))
-    # iid Gaussian signatures: expected off-diagonal RMS is 1/sqrt(m) = 1/32
-    assert abs(rms - 1.0 / 32.0) < 0.15 / 32.0
+# ------------------------------------------- the received-signal model, in full
 
 
-def test_random_signatures_deterministic_and_scalar_edge():
-    a = make_random_signatures(16, 3, seed=7)
-    b = make_random_signatures(16, 3, seed=7)
-    assert np.array_equal(a.signatures, b.signatures)
-    one = make_random_signatures(1, 1, seed=0)
-    assert one.signatures.shape == (1, 1)
-    assert abs(abs(one.signatures[0, 0]) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        make_random_signatures(0, 1, seed=0)
+def explicit_model_sinr(sigs, rho, sigma2, T, active_per_slot, desired, trials, seed):
+    """The kernel's estimate, recomputed from the received signal.
+
+    Trial by trial and slot by slot: y_t = a * sum_{j in A_t} s_j + z_t with
+    a = sqrt(rho*sigma2) and z_t circular Gaussian of variance sigma2;
+    combine the slots weighted by the conjugate amplitude, matched-filter
+    with s_desired*, and subtract the desired part T*a^2.  The noise comes
+    from the same streams as the kernel's: 256-trial blocks, block k drawn
+    from child k of SeedSequence(seed) as (block, T, m, real/imag) normals.
+    """
+    m = sigs.shape[1]
+    a = math.sqrt(rho * sigma2)
+    scale = math.sqrt(sigma2 / 2.0)
+    s_d = sigs[desired]
+    children = np.random.SeedSequence(seed).spawn(-(-trials // 256))
+    res_power = []
+    for k, child in enumerate(children):
+        n = min(256, trials - 256 * k)
+        draws = np.random.default_rng(child).standard_normal((n, T, m, 2))
+        for i in range(n):
+            combined = 0.0 + 0.0j
+            for t in range(T):
+                z_t = scale * (draws[i, t, :, 0] + 1j * draws[i, t, :, 1])
+                y_t = sum(a * sigs[j] for j in active_per_slot[t]) + z_t
+                combined += np.conj(a) * (np.conj(s_d) @ y_t)
+            res_power.append(abs(combined - T * a * a) ** 2)
+    signal = T * rho * sigma2
+    return signal * signal / float(np.mean(res_power))
 
 
-# ------------------------------------------------------------------ frame draws
-
-
-def test_frame_received_is_signal_plus_noise_exactly():
-    sigs = make_equicorrelated_signatures(6, 5, 0.2)
-    rng = np.random.default_rng(3)
-    frame = make_frame(sigs, 2.0, 0.5, [(0, 1, 2), (2, 3, 4)], rng)
-    for t, act in enumerate(frame.active_sets):
-        rebuilt = sigs.signatures[list(act)].T @ frame.amplitudes[t] + frame.noise[t]
-        assert np.array_equal(frame.received[t], rebuilt)
-
-
-def test_frame_amplitude_power_is_rho_sigma2():
-    sigs = make_equicorrelated_signatures(6, 5, 0.2)
-    rng = np.random.default_rng(0)
-    for rho, sigma2 in [(1.0, 1.0), (4.0, 0.25), (0.3, 2.0)]:
-        frame = make_frame(sigs, rho, sigma2, [(0, 1)], rng)
-        for a in frame.amplitudes[0]:
-            assert rel(abs(a) ** 2, rho * sigma2) < 1e-14
+@pytest.mark.parametrize(
+    "eta, m, J, rho, sigma2, active, desired, trials",
+    [
+        (0.0, 8, 5, 0.5, 1.0, [(0, 1, 2)], 0, 257),
+        (0.1, 16, 6, 3.0, 0.5, [(0, 1), (0, 2, 3, 4)], 0, 300),
+        (0.3, 8, 5, 1.0, 1.0, [(1,), (0, 1, 4), (1, 2)], 1, 1),
+        (0.3, 12, 7, 0.2, 4.0, [(2, 3, 4, 5, 6), (2,)], 2, 257),
+    ],
+)
+def test_sinr_kernel_matches_explicit_received_signal_model(
+    eta, m, J, rho, sigma2, active, desired, trials
+):
+    # uneven active sets, runs that cross a 256-trial block boundary, and
+    # rho*sigma2 != 1, where a dropped amplitude on the filtered noise shows
+    sigs = make_equicorrelated_signatures(m, J, eta)
+    T = len(active)
+    est = simulate_cc_noma_sinr(sigs, rho, sigma2, T, active, desired, trials, seed=11)
+    want = explicit_model_sinr(sigs, rho, sigma2, T, active, desired, trials, seed=11)
+    assert rel(est.mean, want) < 1e-12
 
 
 def test_frame_validates_active_indices():
     sigs = make_equicorrelated_signatures(6, 5, 0.2)
-    with pytest.raises(ValueError):
-        make_frame(sigs, 1.0, 1.0, [(0, 5)], np.random.default_rng(0))
-
-
-def test_noise_free_matched_filter_energy_identity():
-    # orthonormal signatures, unit power: strip the noise from the received
-    # slots and the T-slot combined matched-filter output is exactly T
-    sigs = make_equicorrelated_signatures(8, 4, 0.0)
-    rng = np.random.default_rng(5)
-    T = 3
-    frame = make_frame(sigs, 1.0, 1.0, [(0, 1), (0, 2), (0, 3)], rng)
-    d = sigs.signatures[0]
-    combined = 0.0 + 0.0j
-    for t in range(T):
-        clean = frame.received[t] - frame.noise[t]
-        combined += frame.amplitudes[t][0].conjugate() * (d.conj() @ clean)
-    assert combined.real == T * 1.0 * 1.0  # T * rho * sigma2, exact
-    assert combined.imag == 0.0
+    for bad in ([(0, 5)], [(0, -1)]):
+        with pytest.raises(ValueError):
+            simulate_cc_noma_sinr(sigs, 1.0, 1.0, 1, bad, 0, 10, 0)
 
 
 # ------------------------------------------------------------- SINR estimation
