@@ -26,6 +26,7 @@ from .closedform import (
 from .errors import (
     ConfigError,
     DegenerateRate,
+    DegenerateResidual,
     DesiredInactive,
     DimensionTooSmall,
     EmptyCurve,
@@ -68,6 +69,7 @@ __all__ = [
     "Curve",
     "CurvePoint",
     "DegenerateRate",
+    "DegenerateResidual",
     "DesiredInactive",
     "DimensionTooSmall",
     "EmptyCurve",

@@ -66,7 +66,7 @@ OPTIONS = {
     "regime": Option(str, "sum", choices=tuple(r.value for r in Regime)),
     **{f.name: Option(type(f.default), f.default) for f in fields(SchemeParams)},
     "output": Option(str, None, metavar="PATH"),
-    "format": Option(str, "csv", choices=("csv", "json")),
+    "format": Option(str, "csv", ("point", *_CURVES), ("csv", "json")),
     "workers": Option(int, 1, ("validate",)),
     "grid_min": Option(float, 1e-3, _CURVES),
     "grid_max": Option(float, 1e2, _CURVES),
@@ -178,6 +178,8 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{key} must be >= 1, got {m[key]!r}")
         if not m["tolerance"] > 0:
             raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
+        if m["seed"] < 0:
+            raise ConfigError(f"seed must be >= 0, got {m['seed']!r}")
     return RunConfig(ns.command, Scheme(m["scheme"]), Regime(m["regime"]), params, m)
 
 

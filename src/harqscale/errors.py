@@ -9,6 +9,11 @@ class DegenerateRate(HarqScaleError):
     """The rate is zero, so the energy-per-bit ratio is 0/0 (e.g. rho = 0)."""
 
 
+class DegenerateResidual(HarqScaleError):
+    """rho*sigma2 is too small or too large for the Monte-Carlo SINR estimate:
+    the square of a power it divides by is not a finite normal float."""
+
+
 class InvalidSlot(HarqScaleError):
     """Slot index outside the frame's 1..T range."""
 

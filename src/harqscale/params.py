@@ -26,6 +26,18 @@ class Regime(Enum):
     TIN = "tin"
 
 
+def check_rho(rho: float) -> None:
+    """The rule for ``rho``: finite and >= 0 (``SchemeParams`` and rho sweeps)."""
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
+
+
+def check_J(J: float, T: int) -> None:
+    """The rule for ``J``: finite and >= T (``SchemeParams`` and J sweeps)."""
+    if not T <= J < math.inf:
+        raise ValueError(f"J must be finite and >= T ({T}), got {J!r}")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Common parameters for all access schemes.
@@ -60,14 +72,12 @@ class SchemeParams:
             if not math.isfinite(raw) or raw != int(raw):
                 raise ValueError(f"{name} must be an integer, got {raw!r}")
             object.__setattr__(self, name, int(raw))
-        if not 0 <= self.rho < math.inf:
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho!r}")
+        check_rho(self.rho)
         if not 0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T!r}")
-        if not self.T <= self.J < math.inf:
-            raise ValueError(f"J must be finite and >= T ({self.T}), got {self.J!r}")
+        check_J(self.J, self.T)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")
         if self.B < 1:

@@ -26,6 +26,7 @@ worker count.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,13 +34,14 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import combined_sinr
-from .errors import DesiredInactive, DimensionTooSmall
+from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall
 from .params import Scheme
 
 # Trials per block: one generator, one draw buffer (1 MiB at T = 4, m = 64)
 # and one task for the worker threads.  Fixed, so that the random streams do
 # not depend on the worker count.
 _BLOCK = 256
+_NORMAL_MIN = sys.float_info.min
 
 
 def make_equicorrelated_signatures(m: int, J: int, eta: float) -> np.ndarray:
@@ -130,7 +132,8 @@ def simulate_cc_noma_sinr(
         draws *= scale
         z = draws.view(complex)[..., 0]  # (block, T, m) complex noise
         residual = clean_residual + a * (z @ desired_conj).sum(axis=1)
-        res_power[lo:hi] = residual.real**2 + residual.imag**2
+        with np.errstate(over="ignore"):  # an overflow is reported below, by name
+            res_power[lo:hi] = residual.real**2 + residual.imag**2
 
     if workers == 1:
         for k in range(n_blocks):
@@ -139,7 +142,18 @@ def simulate_cc_noma_sinr(
         with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
             list(pool.map(run_block, range(n_blocks)))
 
-    mean_res = float(np.sum(res_power)) / trials
+    with np.errstate(over="ignore"):
+        mean_res = float(np.sum(res_power)) / trials
+    # The estimate divides by the squares of both powers, so each square must
+    # be a normal float (a subnormal one has lost digits); that bounds
+    # rho*sigma2 on both sides.
+    if not (_NORMAL_MIN <= signal * signal < math.inf
+            and _NORMAL_MIN <= mean_res * mean_res < math.inf):
+        raise DegenerateResidual(
+            f"rho*sigma2 = {a2!r} is out of range for the SINR estimate: it squares the "
+            f"signal power {signal!r} and the mean residual power {mean_res!r}, and a "
+            f"square fell below the normal float range or overflowed"
+        )
     mean_sinr = signal * signal / mean_res
     if trials > 1:
         var_res = float(np.sum((res_power - mean_res) ** 2)) / (trials - 1)

@@ -4,19 +4,22 @@ A curve is an ordered list of points swept over rho (or over J for density
 curves, in which case the point's ``rho`` field carries the J that produced
 it).  Grid points whose evaluation errors (e.g. rho = 0) are skipped and
 counted, never emitted as NaN; a curve where nothing survived raises
-EmptyCurve.
+EmptyCurve.  Each grid value is checked with the rule ``SchemeParams`` applies
+to the swept field (``check_rho`` or ``check_J``; a failure is a skipped
+point), and the point's parameter record is copied from the already-checked
+base rather than validated again field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .closedform import Metrics, evaluate
 from .errors import EmptyCurve, GridMismatch, HarqScaleError
-from .params import Regime, Scheme, SchemeParams
+from .params import Regime, Scheme, SchemeParams, check_J, check_rho
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,21 @@ def _sweep(
     params: SchemeParams,
     grid: tuple[float, ...],
     sweep_var: str,
+    check: "callable[[float], None]",
     y_of: "callable[[Metrics], float]",
 ) -> Curve:
     points: list[CurvePoint] = []
     skipped = 0
+    values = dict(vars(params))
     for value in grid:
         try:
-            metrics = evaluate(scheme, regime, replace(params, **{sweep_var: value}))
+            check(value)
+            values[sweep_var] = value
+            # params passed __post_init__ and check() applies its rule to the
+            # one field that changes, so the point skips the full re-check
+            point = object.__new__(SchemeParams)
+            point.__dict__.update(values)
+            metrics = evaluate(scheme, regime, point)
         except (HarqScaleError, ValueError):
             skipped += 1
             continue
@@ -90,7 +101,7 @@ def se_curve(
 ) -> Curve:
     """Spectral efficiency against SNR per bit, swept over rho."""
     grid = _check_ascending(rho_grid, "rho")
-    return _sweep(scheme, regime, params, grid, "rho", lambda m: m.se)
+    return _sweep(scheme, regime, params, grid, "rho", check_rho, lambda m: m.se)
 
 
 def density_curve(
@@ -104,7 +115,8 @@ def density_curve(
     Swept over the user count J at fixed rho.
     """
     grid = _check_ascending(j_grid, "J")
-    return _sweep(scheme, regime, params, grid, "J", lambda m: m.se / params.L)
+    return _sweep(scheme, regime, params, grid, "J", lambda j: check_J(j, params.T),
+                  lambda m: m.se / params.L)
 
 
 def min_ebn0(curve: Curve) -> tuple[float, float]:

@@ -256,6 +256,24 @@ def test_workers_flag_is_validate_only(command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["limits", "validate"])
+def test_format_flag_is_for_point_and_curves_only(command):
+    # limits and validate print text only; the flag is unknown to them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "json"])
+    assert exc.value.code == 2
+
+
+def test_format_in_a_config_is_ignored_by_limits(tmp_path, capsys):
+    argv = ["limits", "--scheme", "cc-noma", "--regime", "tin", "--T", "2", "--J", "10"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 VALIDATE_KNOBS = {"trials": "0", "workers": "0", "m": "0", "users_per_slot": "0",
                   "tolerance": "0"}
 
@@ -336,6 +354,27 @@ def test_validate_fail_exits_3(capsys):
     out = capsys.readouterr().out
     assert rc == 3
     assert out.strip().endswith("FAIL")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["--rho", "1e-170"], ["--rho", "1e100", "--sigma2", "1e100"]],
+                         ids=["underflow", "overflow"])
+def test_validate_out_of_range_power_exits_2_naming_rho_sigma2(argv, capsys):
+    # the estimate squares the signal and residual powers: at rho*sigma2 = 1e-170
+    # a square underflows to 0, at 1e200 the residual power overflows
+    assert main(["validate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "rho*sigma2" in captured.err
+
+
+def test_validate_negative_seed_exits_2_naming_seed(capsys):
+    assert main(["validate", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seed" in captured.err
 
 
 def test_validate_rejects_inconsistent_monte_carlo_knobs(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from harqscale import (
+    DegenerateResidual,
     DesiredInactive,
     DimensionTooSmall,
     Regime,
@@ -122,6 +123,22 @@ def test_frame_validates_active_indices():
     for bad in ([(0, 5)], [(0, -1)]):
         with pytest.raises(ValueError):
             simulate_cc_noma_sinr(sigs, 1.0, 1.0, 1, bad, 0, 10, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "rho, sigma2",
+    [(0.0, 1.0), (1e-170, 1.0), (1e-158, 1.0), (1e153, 1.0), (1e100, 1e100),
+     (1e-200, 1e200), (1e-290, 1e300)],
+)
+def test_out_of_range_power_is_a_named_error_without_warnings(rho, sigma2):
+    # rho = 0: no signal; 1e-170: the squared powers underflow to 0; 1e-158:
+    # they are subnormal; 1e153: the sum of residual powers overflows; 1e200:
+    # each residual power overflows; the last two: only the residual leaves
+    # the range
+    sigs = make_equicorrelated_signatures(64, 5, 0.1)
+    with pytest.raises(DegenerateResidual, match=r"rho\*sigma2"):
+        simulate_cc_noma_sinr(sigs, rho, sigma2, 2, [range(5)] * 2, 0, 300, 0, 2)
 
 
 # ------------------------------------------------------------- SINR estimation
