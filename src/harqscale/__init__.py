@@ -5,6 +5,9 @@ access schemes (classical one-shot, chase-combining NOMA/OMA, incremental
 redundancy OMA) under sum-optimal and treat-interference-as-noise decoding,
 plus their limiting values, parameter sweeps, and a link-level Monte-Carlo
 cross-check of the combined-receiver SINR algebra.
+
+The Monte-Carlo names (from ``simulate``, and numpy with it) load on first
+access, so the closed-form modules import without numpy.
 """
 
 __version__ = "0.1.0"
@@ -45,13 +48,6 @@ from .limits import (
     ebn0_rho_zero_limit,
 )
 from .params import Regime, Scheme, SchemeParams
-from .simulate import (
-    SinrEstimate,
-    analytic_sinr,
-    make_equicorrelated_signatures,
-    simulate_cc_noma_sinr,
-    verify_cc_oma_noise_expansion,
-)
 from .sweep import (
     Curve,
     CurvePoint,
@@ -62,6 +58,20 @@ from .sweep import (
     se_curve,
 )
 from .tables import CSV_HEADER, curve_to_csv, curve_to_json
+
+_SIMULATE_NAMES = ("SinrEstimate", "analytic_sinr", "make_equicorrelated_signatures",
+                   "simulate_cc_noma_sinr", "verify_cc_oma_noise_expansion")
+
+
+def __getattr__(name: str):
+    """Import ``simulate``, and numpy with it, on first use of its names."""
+    if name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulate
+
+    globals()[name] = value = getattr(simulate, name)
+    return value
+
 
 __all__ = [
     "CSV_HEADER",

@@ -11,7 +11,8 @@ A config file of ``key = value`` lines (--config) can supply any flag, keyed
 by the flag name with ``_`` for ``-``; flags given on the command line
 override it.  Both are declared once, in ``OPTIONS``.  Relative --output paths are placed
 under $HARQSCALE_OUT_DIR when that is set.  Tables go to stdout when no
---output is given.
+--output is given.  The simulator (and numpy) loads only when ``validate``
+runs; ``curve`` and ``density`` load numpy to build their grids.
 
 Exit codes: 0 success (validation passed), 2 bad flag/config/parameter or an
 evaluation error, 3 validation failure.
@@ -32,12 +33,6 @@ from .closedform import evaluate
 from .errors import ConfigError, HarqScaleError, UnsupportedCombination
 from .limits import Hold, ebn0_cbuf_infinity_ir_tin, ebn0_floor, ebn0_rho_zero_limit
 from .params import Regime, Scheme, SchemeParams
-from .simulate import (
-    analytic_sinr,
-    make_equicorrelated_signatures,
-    simulate_cc_noma_sinr,
-    verify_cc_oma_noise_expansion,
-)
 from .sweep import density_curve, make_grid, se_curve
 from .tables import curve_to_csv, curve_to_json
 
@@ -250,17 +245,34 @@ def _cmd_limits(cfg: RunConfig) -> int:
     return 0
 
 
+_SIMULATE_NAMES = ("analytic_sinr", "make_equicorrelated_signatures", "simulate_cc_noma_sinr",
+                   "verify_cc_oma_noise_expansion")
+
+
+def __getattr__(name: str):
+    """Import the simulator, and numpy with it, on first use of its names."""
+    if name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulate
+
+    globals()[name] = value = getattr(simulate, name)
+    return value
+
+
 def _cmd_validate(cfg: RunConfig) -> int:
+    # a bare global name would not reach __getattr__; the module attribute
+    # does, and it is also where a wrapper set with setattr is found
+    sim = sys.modules[__name__]
     o = cfg.options
     users, T = o["users_per_slot"], cfg.params.T
     counts = (users,) * T
     if o["mode"] == "waveform":
-        sigs = make_equicorrelated_signatures(o["m"], users, cfg.params.eta)
-        est = simulate_cc_noma_sinr(
+        sigs = sim.make_equicorrelated_signatures(o["m"], users, cfg.params.eta)
+        est = sim.simulate_cc_noma_sinr(
             sigs, cfg.params.rho, cfg.params.sigma2, T,
             [range(users)] * T, 0, o["trials"], o["seed"], o["workers"],
         )
-        reference = analytic_sinr(Scheme.CC_NOMA, cfg.params.rho, T, counts, cfg.params.eta)
+        reference = sim.analytic_sinr(Scheme.CC_NOMA, cfg.params.rho, T, counts, cfg.params.eta)
         rel_err = abs(est.mean - reference) / reference
         detail = (
             f"analytic={reference!r} estimate={est.mean!r} "
@@ -268,7 +280,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         )
     else:
         amplitude = math.sqrt(cfg.params.rho * cfg.params.sigma2)
-        rel_err = verify_cc_oma_noise_expansion(
+        rel_err = sim.verify_cc_oma_noise_expansion(
             amplitude, counts, cfg.params.sigma2, o["trials"], o["seed"]
         )
         detail = f"amplitude={amplitude!r}"

@@ -157,7 +157,16 @@ def simulate_cc_noma_sinr(
     mean_sinr = signal * signal / mean_res
     if trials > 1:
         var_res = float(np.sum((res_power - mean_res) ** 2)) / (trials - 1)
-        half_width = 1.96 * signal * signal * math.sqrt(var_res / trials) / mean_res**2
+        # the numerator is formed before the division, so it needs the same
+        # normal range, or a small rho*sigma2 gives a half-width of 0.0
+        spread = 1.96 * signal * signal * math.sqrt(var_res / trials)
+        if var_res > 0 and not _NORMAL_MIN <= spread < math.inf:
+            raise DegenerateResidual(
+                f"rho*sigma2 = {a2!r} is out of range for the SINR estimate's half-width: "
+                f"1.96 * signal power**2 * sqrt(residual variance / trials) = {spread!r} "
+                f"is not a normal float"
+            )
+        half_width = spread / mean_res**2
     else:
         half_width = 0.0
     return SinrEstimate(mean_sinr, half_width, trials, seed)

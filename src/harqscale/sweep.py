@@ -7,15 +7,14 @@ counted, never emitted as NaN; a curve where nothing survived raises
 EmptyCurve.  Each grid value is checked with the rule ``SchemeParams`` applies
 to the swept field (``check_rho`` or ``check_J``; a failure is a skipped
 point), and the point's parameter record is copied from the already-checked
-base rather than validated again field by field.
+base rather than validated again field by field.  numpy is imported by
+``make_grid`` only, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .closedform import Metrics, evaluate
 from .errors import EmptyCurve, GridMismatch, HarqScaleError
@@ -43,6 +42,8 @@ class Curve:
 
 def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[float, ...]:
     """Build an ascending sweep grid; ``scale`` is "log" or "linear"."""
+    import numpy as np
+
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points!r}")
     if not lo < hi:

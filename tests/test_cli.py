@@ -1,10 +1,17 @@
-"""Command-line interface tests, driven in-process through main(argv)."""
+"""Command-line interface tests, driven in-process through main(argv); the
+import tests run the CLI in a fresh interpreter."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
+import harqscale
+import harqscale.cli
 from harqscale import Regime, Scheme, SchemeParams, evaluate, make_grid, se_curve
 from harqscale.cli import main
 from harqscale.tables import CSV_HEADER
@@ -369,6 +376,16 @@ def test_validate_out_of_range_power_exits_2_naming_rho_sigma2(argv, capsys):
     assert "rho*sigma2" in captured.err
 
 
+def test_validate_half_width_underflow_exits_2_naming_rho_sigma2(capsys):
+    # noise-limited: the half-width's numerator scales like (rho*sigma2)^3 and
+    # underflows before the division at rho*sigma2 = 1e-110
+    assert main(["validate", "--rho", "1e-110"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "rho*sigma2" in captured.err and "half-width" in captured.err
+
+
 def test_validate_negative_seed_exits_2_naming_seed(capsys):
     assert main(["validate", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
@@ -382,3 +399,72 @@ def test_validate_rejects_inconsistent_monte_carlo_knobs(capsys):
     assert main(["validate", "--m", "3", "--users-per-slot", "5"]) == 2
     err = capsys.readouterr().err
     assert "m=" in err or "m " in err
+
+
+# ------------------------------------------------------------------ lazy imports
+
+_SRC = str(Path(harqscale.__file__).resolve().parent.parent)
+
+
+def _imports(*args: str) -> tuple[int, set[str]]:
+    """Run ``python -X importtime ARGS``; return its exit code and the names
+    of the modules it imported."""
+    path = [_SRC, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+_CLI = ("-m", "harqscale.cli")
+
+
+@pytest.mark.parametrize("args, code, loaded", [
+    (("-c", "import harqscale"), 0, set()),
+    (("-c", "import harqscale.cli"), 0, set()),
+    ((*_CLI, "point"), 0, set()),
+    ((*_CLI, "limits", "--scheme", "ir-oma", "--regime", "tin", "--T", "2", "--J", "4"), 0, set()),
+    ((*_CLI, "--help"), 0, set()),
+    ((*_CLI, "point", "--rho", "0"), 2, set()),
+    ((*_CLI, "limits", "--c-buf", "0"), 2, set()),
+    ((*_CLI, "validate", "--trials", "0"), 2, set()),
+    ((*_CLI, "curve"), 0, {"numpy"}),
+    ((*_CLI, "validate"), 0, {"numpy", "harqscale.simulate"}),
+], ids=["import", "import-cli", "point", "limits", "help", "point-rho-0", "limits-c-buf-0",
+        "validate-trials-0", "curve", "validate"])
+def test_which_commands_load_numpy_and_the_simulator(args, code, loaded):
+    # curve and validate load them, so the import log does list what is imported
+    rc, modules = _imports(*args)
+    assert rc == code
+    assert modules & {"numpy", "harqscale.simulate"} == loaded
+
+
+def test_lazy_simulate_names_resolve_and_unknown_names_raise():
+    namespace = {}
+    exec("from harqscale import *", namespace)
+    for name in harqscale.__all__:
+        assert namespace[name] is getattr(harqscale, name)
+    assert harqscale.simulate_cc_noma_sinr is harqscale.simulate.simulate_cc_noma_sinr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        harqscale.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        harqscale.cli.no_such_name
+
+
+def test_validate_calls_a_wrapper_set_on_the_cli_module(capsys):
+    # bench/spans.install wraps the call sites with setattr on the module
+    original = harqscale.cli.simulate_cc_noma_sinr
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[6])
+        return original(*args, **kwargs)
+
+    setattr(harqscale.cli, "simulate_cc_noma_sinr", wrapper)
+    try:
+        main(["validate", "--trials", "300"])
+    finally:
+        setattr(harqscale.cli, "simulate_cc_noma_sinr", original)
+    assert calls == [300]
+    assert "estimate=" in capsys.readouterr().out
