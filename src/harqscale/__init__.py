@@ -16,10 +16,6 @@ from .closedform import (
     Metrics,
     QuantNoise,
     buffer_rate_from_quant_noise,
-    eval_cc_noma,
-    eval_cc_oma,
-    eval_classical,
-    eval_ir_oma,
     evaluate,
     fbl_rate,
     ir_quant_noise,
@@ -36,7 +32,6 @@ from .errors import (
     GridMismatch,
     HarqScaleError,
     InvalidSlot,
-    NegativeDenominator,
     UnsupportedCombination,
 )
 from .limits import (
@@ -90,7 +85,6 @@ __all__ = [
     "LimitKind",
     "LimitResult",
     "Metrics",
-    "NegativeDenominator",
     "QuantNoise",
     "Regime",
     "Scheme",
@@ -105,10 +99,6 @@ __all__ = [
     "ebn0_cbuf_infinity_ir_tin",
     "ebn0_floor",
     "ebn0_rho_zero_limit",
-    "eval_cc_noma",
-    "eval_cc_oma",
-    "eval_classical",
-    "eval_ir_oma",
     "evaluate",
     "fbl_rate",
     "find_crossing",

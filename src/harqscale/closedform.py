@@ -1,6 +1,6 @@
 """Closed-form spectral efficiency and SNR per bit for the four access schemes.
 
-Each evaluator returns a :class:`Metrics` triple (se, ebn0_linear, ebn0_db)
+:func:`evaluate` returns a :class:`Metrics` triple (se, ebn0_linear, ebn0_db)
 for one scheme under one decoding regime:
 
 * classical     — every user transmits once, no combining;
@@ -17,10 +17,11 @@ scheme (the per-frame sums are divided by T), so all curves share one axis and
 its extra factor T from the per-attempt energy accounting).
 
 Floating-point note: the T=1 collapse of classical / CC-OMA / IR-OMA is an
-*exact* identity and the test suite checks it bit-for-bit, so the expressions
-below are written in matching shapes (same operand order, TIN energy ratio in
-the reduced form ``T*sigma2*rho / log2(1+sinr)``).  Keep that alignment when
-editing.
+*exact* identity and the test suite checks it bit-for-bit, so the SINRs of
+:func:`_sinr` and :func:`_ir_oma` are written in matching shapes (same operand
+order) and all but IR-OMA's go through the one accounting per regime in
+:func:`evaluate` (TIN energy ratio in the reduced form
+``T*sigma2*rho / log2(1+sinr)``).  Keep that alignment when editing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateRate, InvalidSlot, NegativeDenominator, UnsupportedCombination
+from .errors import DegenerateRate, InvalidSlot, UnsupportedCombination
 from .params import Regime, Scheme, SchemeParams
 
 _LN2 = math.log(2.0)
@@ -74,26 +75,6 @@ def total_power(params: SchemeParams) -> float:
     return params.J * params.sigma2 * params.rho
 
 
-def _require_rate(params: SchemeParams) -> None:
-    if params.rho == 0.0:
-        raise DegenerateRate(
-            "rho = 0 makes the energy-per-bit ratio 0/0; "
-            "use harqscale.limits for the limiting values"
-        )
-
-
-def eval_classical(params: SchemeParams, regime: Regime) -> Metrics:
-    """One-shot transmission: J users share the frame, no combining gain."""
-    _require_rate(params)
-    p = params
-    if regime is Regime.SUM_OPTIMAL:
-        bits = _log2(1.0 + p.rho * p.J / p.T)
-        return _metrics(0.5 * bits, p.J * p.sigma2 * p.rho * p.T / bits)
-    sinr = p.rho / (p.rho * (p.J / p.T - 1.0) + 1.0)
-    bits = _log2(1.0 + sinr)
-    return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
-
-
 def _cc_noma_sum_gain(params: SchemeParams) -> float:
     """CC-NOMA sum-optimal SINR per unit rho*T: 1 + eta^2*(J/T - 1)^2."""
     p = params
@@ -105,46 +86,14 @@ def combined_sinr(scheme: Scheme, rho: float, T: int, J: float, eta: float) -> f
 
     CC-NOMA: the J - T interfering transmissions add coherently, hence the
     squared term scaled by eta^2.  CC-OMA: orthogonal resources leak only
-    through the shared slot budget, hence the linear term (eta unused).  The
-    TIN evaluators and the Monte-Carlo oracle's reference both call this.
+    through the shared slot budget, hence the linear term (eta unused).  TIN
+    :func:`evaluate` and the Monte-Carlo oracle's reference both call this.
     """
     if scheme is Scheme.CC_NOMA:
         return rho * T**2 / (T + rho * eta**2 * (J - T) ** 2)
     if scheme is Scheme.CC_OMA:
         return rho * T / (rho * (J / T - 1.0) + 1.0)
     raise UnsupportedCombination(f"no combined-receiver SINR form for {scheme.value}")
-
-
-def eval_cc_noma(params: SchemeParams, regime: Regime) -> Metrics:
-    """Chase combining over T non-orthogonal attempts.
-
-    The T maximum-ratio-combined copies raise the desired power by T^2 while
-    the cross-correlated interference adds coherently, giving the
-    (J/T - 1)^2-shaped penalty in eta.
-    """
-    _require_rate(params)
-    p = params
-    if regime is Regime.SUM_OPTIMAL:
-        sinr = p.rho * p.T * _cc_noma_sum_gain(p)
-        bits = _log2(1.0 + sinr)
-        return _metrics(0.5 * bits, p.J * p.sigma2 * p.rho / bits)
-    sinr = combined_sinr(Scheme.CC_NOMA, p.rho, p.T, p.J, p.eta)
-    bits = _log2(1.0 + sinr)
-    return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
-
-
-def eval_cc_oma(params: SchemeParams, regime: Regime) -> Metrics:
-    """Chase combining over T orthogonal attempts (interference only through
-    the shared slot budget, so the eta term is replaced by a 1/T leak)."""
-    _require_rate(params)
-    p = params
-    if regime is Regime.SUM_OPTIMAL:
-        sinr = p.rho * p.T * (1.0 + (1.0 / p.T) * (p.J / p.T - 1.0))
-        bits = _log2(1.0 + sinr)
-        return _metrics(0.5 * bits, p.J * p.sigma2 * p.rho / bits)
-    sinr = combined_sinr(Scheme.CC_OMA, p.rho, p.T, p.J, p.eta)
-    bits = _log2(1.0 + sinr)
-    return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
 
 
 def ir_quant_noise(
@@ -195,29 +144,46 @@ def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float
     return (p.B / 2.0) * _log2(1.0 + (p.J * p.rho + p.B) * p.sigma2 / sigma_q2)
 
 
-def eval_ir_oma(params: SchemeParams, regime: Regime) -> Metrics:
+def _sinr(scheme: Scheme, regime: Regime, params: SchemeParams) -> float:
+    """Combined-channel SINR of classical, CC-NOMA and CC-OMA.
+
+    Sum-optimal CC-OMA swaps CC-NOMA's coherent (J/T - 1)^2 term in eta for a
+    1/T leak through the shared slot budget; TIN chase combining is
+    :func:`combined_sinr`.
+    """
+    p = params
+    if regime is Regime.SUM_OPTIMAL:
+        if scheme is Scheme.CLASSICAL:
+            return p.rho * p.J / p.T
+        if scheme is Scheme.CC_NOMA:
+            return p.rho * p.T * _cc_noma_sum_gain(p)
+        return p.rho * p.T * (1.0 + (1.0 / p.T) * (p.J / p.T - 1.0))
+    if scheme is Scheme.CLASSICAL:
+        return p.rho / (p.rho * (p.J / p.T - 1.0) + 1.0)
+    return combined_sinr(scheme, p.rho, p.T, p.J, p.eta)
+
+
+def _ir_slot_sinr(p: SchemeParams, regime: Regime, q: float) -> float:
+    if regime is Regime.SUM_OPTIMAL:
+        return (p.rho * p.J / p.B) / (1.0 + q / (p.B * p.sigma2))
+    den = p.rho * (p.J / p.T - 1.0) / p.B + 1.0 + q / (p.B * p.sigma2)
+    return (p.rho / p.B) / den
+
+
+def _ir_oma(p: SchemeParams, regime: Regime) -> Metrics:
     """Incremental redundancy over T orthogonal attempts.
 
-    Slot t < T sees the quantization noise of its refinement stage on top of
-    the channel noise; the final slot is conventional.  Per-slot rates are
-    summed and normalized to rdof (divide by T), matching the other schemes.
+    Every slot t < T sees the same refinement quantization noise on top of
+    the channel noise; the final slot is conventional.  The slot rates are
+    added one by one in slot order and normalized to rdof (divide by T).
     """
-    _require_rate(params)
-    p = params
-    horizon = p.T - 1
+    q = ir_quant_noise(p, regime, 1, p.T - 1).value  # 0.0 when T = 1
+    refine = _log2(1.0 + _ir_slot_sinr(p, regime, q))
+    final = _log2(1.0 + _ir_slot_sinr(p, regime, 0.0))
     bits_total = 0.0
-    for t in range(1, p.T + 1):
-        q = 0.0 if t == p.T else ir_quant_noise(p, regime, t, horizon).value
-        if regime is Regime.SUM_OPTIMAL:
-            sinr = (p.rho * p.J / p.B) / (1.0 + q / (p.B * p.sigma2))
-        else:
-            den = p.rho * (p.J / p.T - 1.0) / p.B + 1.0 + q / (p.B * p.sigma2)
-            if den <= 0.0:
-                raise NegativeDenominator(
-                    f"effective-noise denominator {den!r} <= 0 at slot {t}"
-                )
-            sinr = (p.rho / p.B) / den
-        bits_total += _log2(1.0 + sinr)
+    for _ in range(p.T - 1):
+        bits_total += refine
+    bits_total += final
     if regime is Regime.SUM_OPTIMAL:
         se = (p.B / (2.0 * p.T)) * bits_total
         return _metrics(se, p.J * p.sigma2 * p.rho / ((p.B / p.T) * bits_total))
@@ -225,17 +191,29 @@ def eval_ir_oma(params: SchemeParams, regime: Regime) -> Metrics:
     return _metrics(se, p.T * p.sigma2 * p.rho / ((p.B / p.T) * bits_total))
 
 
-_EVALUATORS = {
-    Scheme.CLASSICAL: eval_classical,
-    Scheme.CC_NOMA: eval_cc_noma,
-    Scheme.CC_OMA: eval_cc_oma,
-    Scheme.IR_OMA: eval_ir_oma,
-}
-
-
 def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
-    """Dispatch to the scheme's evaluator."""
-    return _EVALUATORS[scheme](params, regime)
+    """Spectral efficiency and SNR per bit of one scheme under one regime.
+
+    bits = log2(1 + sinr) of the combined channel.  TIN: se = (J/(2T))*bits
+    and ebn0 = T*sigma2*rho/bits.  Sum-optimal: se = bits/2 and
+    ebn0 = J*sigma2*rho/bits, times T for classical (per-attempt energy).
+    rho = 0 makes the ratio 0/0 and raises DegenerateRate.
+    """
+    p = params
+    if p.rho == 0.0:
+        raise DegenerateRate(
+            "rho = 0 makes the energy-per-bit ratio 0/0; "
+            "use harqscale.limits for the limiting values"
+        )
+    if scheme is Scheme.IR_OMA:
+        return _ir_oma(p, regime)
+    bits = _log2(1.0 + _sinr(scheme, regime, p))
+    if regime is Regime.TIN:
+        return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
+    energy = p.J * p.sigma2 * p.rho
+    if scheme is Scheme.CLASSICAL:
+        energy = energy * p.T
+    return _metrics(0.5 * bits, energy / bits)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ class InvalidSlot(HarqScaleError):
     """Slot index outside the frame's 1..T range."""
 
 
-class NegativeDenominator(HarqScaleError):
-    """Internal consistency guard: an effective-noise denominator went <= 0."""
-
-
 class UnsupportedCombination(HarqScaleError):
     """No closed-form limit is available for this scheme/regime pair."""
 

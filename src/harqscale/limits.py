@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .closedform import _LN2, _cc_noma_sum_gain, _db, eval_classical, total_power
+from .closedform import _LN2, _cc_noma_sum_gain, _db, evaluate, total_power
 from .errors import UnsupportedCombination
 from .params import Regime, Scheme, SchemeParams
 
@@ -74,8 +74,8 @@ def ebn0_rho_zero_limit(
     CC-NOMA TIN.  ``params`` carries the target P_tot implicitly as
     J*sigma2*rho.
 
-    The fixed-total-power values are the stated ones, not the limits of the
-    evaluators along that path: CC-NOMA sum-optimal tends to 0 for eta > 0
+    The fixed-total-power values are the stated ones, not the limits of
+    ``evaluate`` along that path: CC-NOMA sum-optimal tends to 0 for eta > 0
     (ln2*P_tot / ln(eta^2*P_tot^2/(T*sigma2^2*rho))) and diverges for
     eta = 0; classical TIN at T=1 tends to ln2*(P_tot + sigma2); IR-OMA TIN
     with a large buffer tends to ln2*(P_tot + T*sigma2).  The test suite
@@ -100,8 +100,8 @@ def ebn0_rho_zero_limit(
 def ebn0_cbuf_infinity_ir_tin(params: SchemeParams) -> LimitResult:
     """Infinite-buffer limit of IR-OMA TIN: the classical-TIN SNR per bit.
 
-    Delegates to the classical evaluator so the equality is exact by
-    construction (same expression, same bits).
+    Evaluates classical TIN so the equality is exact by construction (same
+    expression, same bits).
     """
-    m = eval_classical(params, Regime.TIN)
+    m = evaluate(Scheme.CLASSICAL, Regime.TIN, params)
     return LimitResult(m.ebn0_linear, m.ebn0_db, LimitKind.LIMIT_CBUF_TO_INFINITY)

@@ -1,7 +1,7 @@
 """Scheme/regime identifiers and the shared parameter record.
 
 A single frozen dataclass carries every knob the closed forms need; each
-evaluator reads the subset it cares about.  ``J`` is a real number on purpose:
+scheme's formulas read the subset they care about.  ``J`` is a real number on purpose:
 the formulas are continuous in the user count and the sweeps treat it as a
 free axis.  Integer enforcement only matters when actual signatures are drawn,
 which is the simulator's job.
@@ -51,7 +51,7 @@ class SchemeParams:
     c_buf   receiver combining-buffer size, normalized by packet length
     L       per-user payload in bits (only the density mapping reads this)
 
-    ``rho = 0`` is storable (the evaluators reject it with DegenerateRate,
+    ``rho = 0`` is storable (``evaluate`` rejects it with DegenerateRate,
     limit values live in :mod:`harqscale.limits`); everything else follows the
     physical ranges.  Every value but ``c_buf`` must be finite; ``c_buf = inf``
     is allowed and means an unbounded combining buffer.

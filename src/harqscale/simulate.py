@@ -181,7 +181,7 @@ def analytic_sinr(
 ) -> float:
     """Closed-form post-combining SINR for chase combining with the given
     per-slot user counts: :func:`harqscale.closedform.combined_sinr` at
-    J = sum of the counts, the same function the TIN evaluators call.
+    J = sum of the counts, the same function ``evaluate`` calls for TIN.
     """
     counts = [int(c) for c in per_slot_counts]
     if len(counts) != T:

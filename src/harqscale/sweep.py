@@ -8,11 +8,12 @@ EmptyCurve.  Each grid value is checked with the rule ``SchemeParams`` applies
 to the swept field (``check_rho`` or ``check_J``; a failure is a skipped
 point), and the point's parameter record is copied from the already-checked
 base rather than validated again field by field.  numpy is imported by
-``make_grid`` only, on first use.
+``make_grid`` only, on first use, once its arguments are checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,19 +43,20 @@ class Curve:
 
 def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[float, ...]:
     """Build an ascending sweep grid; ``scale`` is "log" or "linear"."""
-    import numpy as np
-
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got {lo!r} and {hi!r}")
     if not lo < hi:
         raise ValueError(f"grid needs min < max, got {lo!r} >= {hi!r}")
-    if scale == "log":
-        if lo <= 0:
-            raise ValueError(f"log grid needs min > 0, got {lo!r}")
-        return tuple(np.geomspace(lo, hi, points).tolist())
-    if scale == "linear":
-        return tuple(np.linspace(lo, hi, points).tolist())
-    raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
+    if scale not in ("log", "linear"):
+        raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
+    if scale == "log" and lo <= 0:
+        raise ValueError(f"log grid needs min > 0, got {lo!r}")
+    import numpy as np
+
+    space = np.geomspace if scale == "log" else np.linspace
+    return tuple(space(lo, hi, points).tolist())
 
 
 def _check_ascending(grid: Sequence[float], name: str) -> tuple[float, ...]:

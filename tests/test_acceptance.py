@@ -34,10 +34,6 @@ from harqscale import (
     SchemeParams,
     analytic_sinr,
     buffer_rate_from_quant_noise,
-    eval_cc_noma,
-    eval_cc_oma,
-    eval_classical,
-    eval_ir_oma,
     evaluate,
     fbl_rate,
     find_crossing,
@@ -69,14 +65,14 @@ def test_criterion_01_formula_spot_checks():
     p_ir_sum = SchemeParams(rho=1.0, T=2, J=10.0, c_buf=2.0)
     p_ir_tin = SchemeParams(rho=1.0, T=2, J=10.0, c_buf=0.1)
     metrics = {
-        "classical_sum": eval_classical(p_cc, Regime.SUM_OPTIMAL),
-        "classical_tin": eval_classical(p_cc, Regime.TIN),
-        "cc_noma_sum": eval_cc_noma(p_cc, Regime.SUM_OPTIMAL),
-        "cc_noma_tin": eval_cc_noma(p_cc, Regime.TIN),
-        "cc_oma_sum": eval_cc_oma(p_cc, Regime.SUM_OPTIMAL),
-        "cc_oma_tin": eval_cc_oma(p_cc, Regime.TIN),
-        "ir_oma_sum": eval_ir_oma(p_ir_sum, Regime.SUM_OPTIMAL),
-        "ir_oma_tin": eval_ir_oma(p_ir_tin, Regime.TIN),
+        "classical_sum": evaluate(Scheme.CLASSICAL, Regime.SUM_OPTIMAL, p_cc),
+        "classical_tin": evaluate(Scheme.CLASSICAL, Regime.TIN, p_cc),
+        "cc_noma_sum": evaluate(Scheme.CC_NOMA, Regime.SUM_OPTIMAL, p_cc),
+        "cc_noma_tin": evaluate(Scheme.CC_NOMA, Regime.TIN, p_cc),
+        "cc_oma_sum": evaluate(Scheme.CC_OMA, Regime.SUM_OPTIMAL, p_cc),
+        "cc_oma_tin": evaluate(Scheme.CC_OMA, Regime.TIN, p_cc),
+        "ir_oma_sum": evaluate(Scheme.IR_OMA, Regime.SUM_OPTIMAL, p_ir_sum),
+        "ir_oma_tin": evaluate(Scheme.IR_OMA, Regime.TIN, p_ir_tin),
     }
     worst = 0.0
     for key, m in metrics.items():
@@ -97,8 +93,8 @@ def test_criterion_02_tin_floors():
     for sigma2 in (0.5, 1.0, 2.0):
         target_db = -1.59 + 10.0 * math.log10(sigma2)
         p = SchemeParams(rho=1e-6, T=2, J=10.0, eta=1.0, sigma2=sigma2)
-        for fn in (eval_cc_noma, eval_cc_oma):
-            got_db = fn(p, Regime.TIN).ebn0_db
+        for scheme in (Scheme.CC_NOMA, Scheme.CC_OMA):
+            got_db = evaluate(scheme, Regime.TIN, p).ebn0_db
             worst_db = max(worst_db, abs(got_db - target_db))
     ok = worst_db < 0.05
     _report(2, ok, f"TIN floors sit at -1.59 dB + 10log10(sigma2) "
@@ -194,7 +190,7 @@ def _fixed_power_check(evaluator) -> tuple[bool, str]:
 
 
 def test_criterion_03_fixed_total_power_limit():
-    ok, detail = _fixed_power_check(eval_cc_noma)
+    ok, detail = _fixed_power_check(lambda p, r: evaluate(Scheme.CC_NOMA, r, p))
     _report(3, ok, "fixed-power, vanishing-SNR sum decoder -- " + detail)
     assert ok, (
         "along J = P_tot/(sigma2*rho) the sum-decoder SINR must match the "
@@ -227,10 +223,10 @@ def test_criterion_04_ir_buffer_limits():
     worst = 0.0
     for T in (2, 3):
         p = SchemeParams(rho=1.0, T=T, J=10.0, c_buf=1e4)
-        tin_ir = eval_ir_oma(p, Regime.TIN).ebn0_linear
-        tin_cl = eval_classical(p, Regime.TIN).ebn0_linear
+        tin_ir = evaluate(Scheme.IR_OMA, Regime.TIN, p).ebn0_linear
+        tin_cl = evaluate(Scheme.CLASSICAL, Regime.TIN, p).ebn0_linear
         worst = max(worst, rel(tin_ir, tin_cl))
-        sum_ir = eval_ir_oma(p, Regime.SUM_OPTIMAL).ebn0_linear
+        sum_ir = evaluate(Scheme.IR_OMA, Regime.SUM_OPTIMAL, p).ebn0_linear
         single = p.J * p.sigma2 * p.rho / math.log2(1.0 + p.rho * p.J)
         worst = max(worst, rel(sum_ir, single))
     ok = worst < 1e-6
@@ -285,8 +281,9 @@ def test_criterion_07_single_slot_coincidence():
     for rho in grid:
         p = SchemeParams(rho=rho, T=1, J=10.0, c_buf=10.0)
         for regime in Regime:
-            m = eval_classical(p, regime)
-            ok = ok and m == eval_cc_oma(p, regime) and m == eval_ir_oma(p, regime)
+            m = evaluate(Scheme.CLASSICAL, regime, p)
+            ok = ok and m == evaluate(Scheme.CC_OMA, regime, p)
+            ok = ok and m == evaluate(Scheme.IR_OMA, regime, p)
     _report(7, ok, "classical, orthogonal chase, and incremental-redundancy "
                    "evaluators coincide exactly at T=1 on a 20-point rho grid")
     assert ok

@@ -3,6 +3,7 @@ import tests run the CLI in a fresh interpreter."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -71,6 +72,35 @@ def test_limits_with_no_closed_forms_still_succeeds(capsys):
     assert main(["limits", "--scheme", "classical", "--regime", "sum",
                  "--T", "2", "--J", "10"]) == 0
     assert "no closed-form limits" in capsys.readouterr().out
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) of each ``harqscale point|limits`` line in the README's
+    ``sh`` blocks that is followed by ``# `` output lines."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            argv = line.split()
+            if argv[:1] != ["harqscale"] or argv[1:2] not in (["point"], ["limits"]):
+                continue
+            shown = []
+            for after in lines[i + 1:]:
+                if not after.startswith("# "):
+                    break
+                shown.append(after[2:] + "\n")
+            if shown:
+                examples.append((argv[1:], "".join(shown)))
+    return examples
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys):
+    examples = _readme_examples()
+    assert {argv[0] for argv, _ in examples} == {"point", "limits"}
+    for argv, shown in examples:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == shown, argv
 
 
 # ------------------------------------------------------------------ curves
@@ -247,6 +277,14 @@ def test_curve_grid_validation_errors(capsys):
     assert "grid" in capsys.readouterr().err
     assert main(["curve", *REF_ARGS, "--grid-min", "5", "--grid-max", "1"]) == 2
     assert "grid" in capsys.readouterr().err
+    # non-finite bounds are refused before any grid is built: one error line
+    for bounds in (["--grid-max", "inf"],
+                   ["--grid-scale", "linear", "--grid-min=-inf", "--grid-max", "1"]):
+        assert main(["curve", *REF_ARGS, *bounds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid bounds must be finite")
+        assert captured.err.count("\n") == 1
 
 
 def test_unknown_flag_exits_2():
@@ -429,10 +467,11 @@ _CLI = ("-m", "harqscale.cli")
     ((*_CLI, "point", "--rho", "0"), 2, set()),
     ((*_CLI, "limits", "--c-buf", "0"), 2, set()),
     ((*_CLI, "validate", "--trials", "0"), 2, set()),
+    ((*_CLI, "curve", "--grid-max", "inf"), 2, set()),
     ((*_CLI, "curve"), 0, {"numpy"}),
     ((*_CLI, "validate"), 0, {"numpy", "harqscale.simulate"}),
 ], ids=["import", "import-cli", "point", "limits", "help", "point-rho-0", "limits-c-buf-0",
-        "validate-trials-0", "curve", "validate"])
+        "validate-trials-0", "curve-grid-max-inf", "curve", "validate"])
 def test_which_commands_load_numpy_and_the_simulator(args, code, loaded):
     # curve and validate load them, so the import log does list what is imported
     rc, modules = _imports(*args)

@@ -19,10 +19,6 @@ from harqscale import (
     Scheme,
     SchemeParams,
     buffer_rate_from_quant_noise,
-    eval_cc_noma,
-    eval_cc_oma,
-    eval_classical,
-    eval_ir_oma,
     evaluate,
     fbl_rate,
     ir_quant_noise,
@@ -65,18 +61,18 @@ def rel(a: float, b: float) -> float:
 
 
 @pytest.mark.parametrize(
-    "fn, regime, key",
+    "scheme, regime, key",
     [
-        (eval_classical, Regime.SUM_OPTIMAL, "classical_sum"),
-        (eval_classical, Regime.TIN, "classical_tin"),
-        (eval_cc_noma, Regime.SUM_OPTIMAL, "cc_noma_sum"),
-        (eval_cc_noma, Regime.TIN, "cc_noma_tin"),
-        (eval_cc_oma, Regime.SUM_OPTIMAL, "cc_oma_sum"),
-        (eval_cc_oma, Regime.TIN, "cc_oma_tin"),
+        (Scheme.CLASSICAL, Regime.SUM_OPTIMAL, "classical_sum"),
+        (Scheme.CLASSICAL, Regime.TIN, "classical_tin"),
+        (Scheme.CC_NOMA, Regime.SUM_OPTIMAL, "cc_noma_sum"),
+        (Scheme.CC_NOMA, Regime.TIN, "cc_noma_tin"),
+        (Scheme.CC_OMA, Regime.SUM_OPTIMAL, "cc_oma_sum"),
+        (Scheme.CC_OMA, Regime.TIN, "cc_oma_tin"),
     ],
 )
-def test_cc_spot_values(fn, regime, key):
-    m = fn(P_REF, regime)
+def test_cc_spot_values(scheme, regime, key):
+    m = evaluate(scheme, regime, P_REF)
     assert rel(m.se, REF[key + "_se"]) < 1e-12
     assert rel(m.ebn0_linear, REF[key + "_ebn0"]) < 1e-12
 
@@ -89,25 +85,14 @@ def test_cc_spot_values(fn, regime, key):
     ],
 )
 def test_ir_spot_values(params, regime, key):
-    m = eval_ir_oma(params, regime)
+    m = evaluate(Scheme.IR_OMA, regime, params)
     assert rel(m.se, REF[key + "_se"]) < 1e-12
     assert rel(m.ebn0_linear, REF[key + "_ebn0"]) < 1e-12
 
 
-def test_evaluate_dispatch_matches_direct_calls():
-    for scheme, fn in [
-        (Scheme.CLASSICAL, eval_classical),
-        (Scheme.CC_NOMA, eval_cc_noma),
-        (Scheme.CC_OMA, eval_cc_oma),
-        (Scheme.IR_OMA, eval_ir_oma),
-    ]:
-        for regime in Regime:
-            assert evaluate(scheme, regime, P_REF) == fn(P_REF, regime)
-
-
 def test_single_user_single_slot_baseline():
     # rho = T = J = sigma2 = 1: SE is half a bit and the energy ratio is 1 (0 dB)
-    m = eval_classical(SchemeParams(rho=1.0, T=1, J=1.0), Regime.SUM_OPTIMAL)
+    m = evaluate(Scheme.CLASSICAL, Regime.SUM_OPTIMAL, SchemeParams(rho=1.0, T=1, J=1.0))
     assert m.se == 0.5
     assert m.ebn0_linear == 1.0
     assert m.ebn0_db == 0.0
@@ -118,7 +103,7 @@ def test_cc_noma_tin_fully_loaded_slot_ignores_eta():
     vals = []
     for eta in (0.0, 0.3, 1.0):
         p = SchemeParams(rho=1.0, T=2, J=2.0, eta=eta)
-        vals.append(eval_cc_noma(p, Regime.TIN))
+        vals.append(evaluate(Scheme.CC_NOMA, Regime.TIN, p))
     assert vals[0] == vals[1] == vals[2]
     assert rel(vals[0].se, 0.792481250360578) < 1e-12
 
@@ -127,12 +112,12 @@ def test_cc_noma_orthogonal_full_load_reduces_to_single_user_mrc():
     # eta = 0 and J = T: interference-free chase combining, SINR = rho * T
     for rho, T in [(1.0, 2), (0.25, 4), (3.0, 3)]:
         p = SchemeParams(rho=rho, T=T, J=float(T), eta=0.0)
-        m = eval_cc_noma(p, Regime.SUM_OPTIMAL)
+        m = evaluate(Scheme.CC_NOMA, Regime.SUM_OPTIMAL, p)
         assert rel(m.se, 0.5 * math.log2(1.0 + rho * T)) < 1e-12
 
 
 def test_ir_single_slot_value():
-    m = eval_ir_oma(SchemeParams(rho=1.0, T=1, J=10.0), Regime.SUM_OPTIMAL)
+    m = evaluate(Scheme.IR_OMA, Regime.SUM_OPTIMAL, SchemeParams(rho=1.0, T=1, J=10.0))
     assert rel(m.se, 1.7297158093186487) < 1e-12
     assert rel(m.ebn0_linear, 2.890648263178879) < 1e-12
 
@@ -273,7 +258,7 @@ def test_ir_tin_matches_interference_coefficient_route(rho, cb, j_mult, T):
     if ir_quant_noise(p, Regime.TIN, 1, T - 1).clamped:
         return  # coefficient route only covers the unclamped branch
     se_ref, ebn0_ref = _ir_tin_unclamped_reference(p)
-    m = eval_ir_oma(p, Regime.TIN)
+    m = evaluate(Scheme.IR_OMA, Regime.TIN, p)
     assert rel(m.se, se_ref) < 1e-9
     assert rel(m.ebn0_linear, ebn0_ref) < 1e-9
 
@@ -324,9 +309,9 @@ def test_single_slot_schemes_coincide_bitwise(rho, J, sigma2, cb, regime):
     # at T = 1 (and B = 1) the three uplink variants are the same channel, and
     # the implementations are shaped so the floats agree exactly, not just closely
     p = SchemeParams(rho=rho, T=1, J=J, sigma2=sigma2, c_buf=cb)
-    m_classical = eval_classical(p, regime)
-    assert m_classical == eval_cc_oma(p, regime)
-    assert m_classical == eval_ir_oma(p, regime)
+    m_classical = evaluate(Scheme.CLASSICAL, regime, p)
+    assert m_classical == evaluate(Scheme.CC_OMA, regime, p)
+    assert m_classical == evaluate(Scheme.IR_OMA, regime, p)
 
 
 @given(
@@ -341,8 +326,8 @@ def test_tin_spectral_efficiency_saturates(rho, j_mult, T, eta):
     p = SchemeParams(rho=rho, T=T, J=J, eta=eta)
     bound_noma = (J / (2.0 * T)) * math.log2(1.0 + T * T / (eta * eta * (J - T) ** 2))
     bound_oma = (J / (2.0 * T)) * math.log2(1.0 + T * T / (J - T))
-    assert eval_cc_noma(p, Regime.TIN).se <= bound_noma * (1.0 + 1e-12)
-    assert eval_cc_oma(p, Regime.TIN).se <= bound_oma * (1.0 + 1e-12)
+    assert evaluate(Scheme.CC_NOMA, Regime.TIN, p).se <= bound_noma * (1.0 + 1e-12)
+    assert evaluate(Scheme.CC_OMA, Regime.TIN, p).se <= bound_oma * (1.0 + 1e-12)
 
 
 @given(rho=st.floats(1e-2, 1e2), T=st.integers(2, 4), j_mult=st.floats(1.0, 10.0))
@@ -351,9 +336,74 @@ def test_ir_with_unbounded_buffer_matches_classical_tin(rho, T, j_mult):
     # per-slot SINRs agree exactly once the refinement noise underflows to 0;
     # the T-slot aggregation can differ by an ulp, hence the float-level bound
     p = SchemeParams(rho=rho, T=T, J=T * j_mult, c_buf=1e4)
-    a, b = eval_ir_oma(p, Regime.TIN), eval_classical(p, Regime.TIN)
+    a, b = evaluate(Scheme.IR_OMA, Regime.TIN, p), evaluate(Scheme.CLASSICAL, Regime.TIN, p)
     assert rel(a.se, b.se) < 1e-13
     assert rel(a.ebn0_linear, b.ebn0_linear) < 1e-13
+
+
+def _closed_form_written_out(scheme: Scheme, regime: Regime, p: SchemeParams):
+    """(se, ebn0) of each scheme/regime pair, every expression in full.
+
+    The operand order is the one the published floats were computed with, so
+    the evaluator must agree to the last bit, not just closely.  IR-OMA sums
+    its slots one by one, asking for each slot's refinement noise.
+    """
+    if scheme is Scheme.IR_OMA:
+        acc = 0.0
+        for t in range(1, p.T + 1):
+            q = ir_quant_noise(p, regime, t, p.T - 1).value
+            if regime is Regime.SUM_OPTIMAL:
+                sinr = (p.rho * p.J / p.B) / (1.0 + q / (p.B * p.sigma2))
+            else:
+                den = p.rho * (p.J / p.T - 1.0) / p.B + 1.0 + q / (p.B * p.sigma2)
+                sinr = (p.rho / p.B) / den
+            acc += math.log(1.0 + sinr) / LN2
+        if regime is Regime.SUM_OPTIMAL:
+            return ((p.B / (2.0 * p.T)) * acc,
+                    p.J * p.sigma2 * p.rho / ((p.B / p.T) * acc))
+        return ((p.J * p.B / (2.0 * p.T * p.T)) * acc,
+                p.T * p.sigma2 * p.rho / ((p.B / p.T) * acc))
+    if regime is Regime.SUM_OPTIMAL:
+        if scheme is Scheme.CLASSICAL:
+            bits = math.log(1.0 + p.rho * p.J / p.T) / LN2
+            return 0.5 * bits, p.J * p.sigma2 * p.rho * p.T / bits
+        if scheme is Scheme.CC_NOMA:
+            sinr = p.rho * p.T * (1.0 + p.eta**2 * (p.J / p.T - 1.0) ** 2)
+        else:
+            sinr = p.rho * p.T * (1.0 + (1.0 / p.T) * (p.J / p.T - 1.0))
+        bits = math.log(1.0 + sinr) / LN2
+        return 0.5 * bits, p.J * p.sigma2 * p.rho / bits
+    if scheme is Scheme.CLASSICAL:
+        sinr = p.rho / (p.rho * (p.J / p.T - 1.0) + 1.0)
+    elif scheme is Scheme.CC_NOMA:
+        sinr = p.rho * p.T**2 / (p.T + p.rho * p.eta**2 * (p.J - p.T) ** 2)
+    else:
+        sinr = p.rho * p.T / (p.rho * (p.J / p.T - 1.0) + 1.0)
+    bits = math.log(1.0 + sinr) / LN2
+    return (p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits
+
+
+@given(
+    rho=st.floats(1e-12, 1e8),
+    T=st.integers(1, 16),
+    j_mult=st.floats(1.0, 1e3),
+    sigma2=st.floats(1e-6, 1e6),
+    eta=st.floats(0.0, 1.0),
+    B=st.integers(1, 5),
+    c_buf=st.one_of(st.floats(1e-3, 1e3), st.just(math.inf)),
+)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_is_bit_exact_against_the_closed_forms_written_out(
+    rho, T, j_mult, sigma2, eta, B, c_buf
+):
+    p = SchemeParams(
+        rho=rho, T=T, J=T * j_mult, sigma2=sigma2, eta=eta, B=B, c_buf=c_buf
+    )
+    for scheme, regime in _SCHEME_REGIME:
+        se, ebn0 = _closed_form_written_out(scheme, regime, p)
+        m = evaluate(scheme, regime, p)
+        assert (m.se, m.ebn0_linear, m.ebn0_db) == (se, ebn0, 10.0 * math.log10(ebn0)), (
+            scheme, regime)
 
 
 # ---------------------------------------------------- finite-blocklength backoff
@@ -448,7 +498,7 @@ def test_invalid_parameters_name_the_offender(kwargs, needle):
 
 def test_infinite_buffer_stays_valid_and_finite():
     # c_buf = inf is the unbounded-buffer limit, not an invalid input
-    m = eval_ir_oma(SchemeParams(rho=1.0, T=2, J=4.0, c_buf=float("inf")), Regime.SUM_OPTIMAL)
+    m = evaluate(Scheme.IR_OMA, Regime.SUM_OPTIMAL, SchemeParams(rho=1.0, T=2, J=4.0, c_buf=float("inf")))
     assert m.se == 1.160964047443681
     assert math.isfinite(m.ebn0_linear)
 

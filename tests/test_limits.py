@@ -15,10 +15,6 @@ from harqscale import (
     ebn0_cbuf_infinity_ir_tin,
     ebn0_floor,
     ebn0_rho_zero_limit,
-    eval_cc_noma,
-    eval_cc_oma,
-    eval_classical,
-    eval_ir_oma,
     evaluate,
     make_grid,
     total_power,
@@ -86,7 +82,7 @@ def test_floors_lower_bound_the_evaluators():
 def test_cc_noma_tin_floor_attained_at_vanishing_snr():
     p = SchemeParams(rho=1e-6, T=2, J=10.0, eta=1.0)
     floor = ebn0_floor(Scheme.CC_NOMA, Regime.TIN, p).value_linear
-    assert rel(eval_cc_noma(p, Regime.TIN).ebn0_linear, floor) < 1e-2
+    assert rel(evaluate(Scheme.CC_NOMA, Regime.TIN, p).ebn0_linear, floor) < 1e-2
 
 
 # -------------------------------------------------------- vanishing-SNR limits
@@ -148,8 +144,8 @@ def test_fixed_total_power_path_against_stated_value():
     # P_tot = 10 (log grid of J from T to 1e9)
     for p_tot, crosses in ((1.0, True), (10.0, False)):
         above = [
-            eval_cc_noma(
-                SchemeParams(rho=p_tot / J, T=2, J=J, eta=1.0), Regime.SUM_OPTIMAL
+            evaluate(
+                Scheme.CC_NOMA, Regime.SUM_OPTIMAL, SchemeParams(rho=p_tot / J, T=2, J=J, eta=1.0)
             ).ebn0_linear > LN2 * p_tot
             for J in make_grid(2.0, 1e9, 2000)
         ]
@@ -162,9 +158,9 @@ def test_fixed_total_power_paths_of_classical_and_ir_tin():
     # stated ln2*P_tot: ln2*(P_tot + sigma2) for classical TIN at T = 1 and
     # ln2*(P_tot + T*sigma2) for IR-OMA TIN with a large buffer
     rho, p_tot = 1e-7, 1.0
-    classical = eval_classical(SchemeParams(rho=rho, T=1, J=p_tot / rho), Regime.TIN)
+    classical = evaluate(Scheme.CLASSICAL, Regime.TIN, SchemeParams(rho=rho, T=1, J=p_tot / rho))
     assert rel(classical.ebn0_linear, LN2 * (p_tot + 1.0)) < 1e-6
-    ir = eval_ir_oma(SchemeParams(rho=rho, T=2, J=p_tot / rho, c_buf=1e4), Regime.TIN)
+    ir = evaluate(Scheme.IR_OMA, Regime.TIN, SchemeParams(rho=rho, T=2, J=p_tot / rho, c_buf=1e4))
     assert rel(ir.ebn0_linear, LN2 * (p_tot + 2.0)) < 1e-6
 
 
@@ -172,7 +168,8 @@ def test_cc_noma_tin_fixed_users_limit_attained():
     # evaluator converges to the fixed-user-count limit as rho vanishes
     p_lim = SchemeParams(rho=1.0, T=2, J=10.0, eta=1.0)
     lim = ebn0_rho_zero_limit(Scheme.CC_NOMA, Regime.TIN, p_lim, Hold.USER_COUNT).value_linear
-    got = eval_cc_noma(SchemeParams(rho=1e-6, T=2, J=10.0, eta=1.0), Regime.TIN).ebn0_linear
+    p = SchemeParams(rho=1e-6, T=2, J=10.0, eta=1.0)
+    got = evaluate(Scheme.CC_NOMA, Regime.TIN, p).ebn0_linear
     assert rel(got, lim) < 1e-2
 
 
@@ -185,7 +182,7 @@ def test_cbuf_infinity_matches_classical_tin_exactly():
         SchemeParams(rho=0.3, T=4, J=12.0, c_buf=5.0),
     ):
         r = ebn0_cbuf_infinity_ir_tin(p)
-        m = eval_classical(p, Regime.TIN)
+        m = evaluate(Scheme.CLASSICAL, Regime.TIN, p)
         assert r.value_linear == m.ebn0_linear  # delegation, so bit-for-bit
         assert r.value_db == m.ebn0_db
         assert r.kind is LimitKind.LIMIT_CBUF_TO_INFINITY
@@ -201,7 +198,7 @@ def test_cbuf_infinity_reference_values():
 def test_ir_evaluator_converges_to_cbuf_infinity_limit():
     p = SchemeParams(rho=1.0, T=2, J=10.0, c_buf=1e4)
     lim = ebn0_cbuf_infinity_ir_tin(p).value_linear
-    got = eval_ir_oma(p, Regime.TIN).ebn0_linear
+    got = evaluate(Scheme.IR_OMA, Regime.TIN, p).ebn0_linear
     assert rel(got, lim) < 1e-6
 
 
