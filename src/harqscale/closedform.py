@@ -55,6 +55,12 @@ def _db(linear: float) -> float:
 
 
 def _metrics(se: float, ebn0: float) -> Metrics:
+    # every Metrics is built here, so no evaluation publishes an inf or a NaN
+    if not (math.isfinite(se) and math.isfinite(ebn0)):
+        raise DegenerateRate(
+            f"the metrics are not finite (se = {se!r}, ebn0 = {ebn0!r}): "
+            f"rho, J, sigma2 or c_buf is too large for float arithmetic"
+        )
     return Metrics(se, ebn0, _db(ebn0))
 
 

@@ -11,7 +11,8 @@ class DegenerateRate(HarqScaleError):
 
 class DegenerateResidual(HarqScaleError):
     """rho*sigma2 is too small or too large for the Monte-Carlo SINR estimate:
-    the square of a power it divides by is not a finite normal float."""
+    the square of a power it divides by is not a finite normal float, or the
+    filtered noise is too small to change any trial's residual power."""
 
 
 class InvalidSlot(HarqScaleError):

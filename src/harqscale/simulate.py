@@ -14,6 +14,12 @@ The signatures are equi-correlated: every pairwise inner product is exactly
 eta, the construction the closed forms assume (cross-slot interference adds
 coherently, giving the squared-sum term).
 
+Noise is drawn only on the matched filter's support, the coordinates where
+the desired signature is nonzero; the filter multiplies noise anywhere else
+by 0, so the statistic is the same function of the noise as with the full
+m-coordinate waveform.  A trial draws 2*T*|support| normals: 4*T for an
+equi-correlated signature (2*T at eta = 0), 2*T*m for a dense one.
+
 Determinism: trials run in fixed blocks of 256; block k draws its noise from
 child k of ``SeedSequence(seed)``, so the random streams are keyed by block
 index (the counter-based seeding of Salmon et al., SC'11) and never by
@@ -37,9 +43,10 @@ from .closedform import combined_sinr
 from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall
 from .params import Scheme
 
-# Trials per block: one generator, one draw buffer (1 MiB at T = 4, m = 64)
-# and one task for the worker threads.  Fixed, so that the random streams do
-# not depend on the worker count.
+# Trials per block: one generator, one draw buffer (32 KiB at T = 4 for an
+# equi-correlated signature, 1 MiB for a dense one at m = 64) and one task
+# for the worker threads.  Fixed, so that the random streams do not depend
+# on the worker count.
 _BLOCK = 256
 _NORMAL_MIN = sys.float_info.min
 
@@ -99,7 +106,7 @@ def simulate_cc_noma_sinr(
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    J, m = sigs.shape
+    J = sigs.shape[0]
     active = []
     for t, slot in enumerate(active_per_slot):
         act = [int(j) for j in slot]
@@ -113,6 +120,11 @@ def simulate_cc_noma_sinr(
     a = math.sqrt(a2)
     scale = math.sqrt(sigma2 / 2.0)
     desired_conj = np.conj(sigs[desired])
+    # The matched filter reads only the coordinates where the desired
+    # signature is nonzero; noise anywhere else is multiplied by 0, so it is
+    # never drawn.
+    support = np.flatnonzero(desired_conj)
+    filt = desired_conj[support]
     # Noise-free received slot = a * (sum of active signatures).
     slot_sums = np.stack([sigs[act].sum(axis=0) for act in active])
     signal = T * a2  # desired part of the combined matched-filter output
@@ -128,10 +140,10 @@ def simulate_cc_noma_sinr(
         lo = k * _BLOCK
         hi = min(lo + _BLOCK, trials)
         rng = np.random.default_rng(children[k])
-        draws = rng.standard_normal((hi - lo, T, m, 2))
+        draws = rng.standard_normal((hi - lo, T, support.size, 2))
         draws *= scale
-        z = draws.view(complex)[..., 0]  # (block, T, m) complex noise
-        residual = clean_residual + a * (z @ desired_conj).sum(axis=1)
+        z = draws.view(complex)[..., 0]  # (block, T, |support|) complex noise
+        residual = clean_residual + a * (z @ filt).sum(axis=1)
         with np.errstate(over="ignore"):  # an overflow is reported below, by name
             res_power[lo:hi] = residual.real**2 + residual.imag**2
 
@@ -156,11 +168,21 @@ def simulate_cc_noma_sinr(
         )
     mean_sinr = signal * signal / mean_res
     if trials > 1:
+        # a large rho*sigma2 puts the filtered noise below the last bit of the
+        # interference: every trial then gives the same residual power, and
+        # the interval (zero-width, or as wide as the rounding of the mean)
+        # would say nothing about the estimate's spread
+        if res_power.min() == res_power.max():
+            raise DegenerateResidual(
+                f"rho*sigma2 = {a2!r} is out of range for the SINR estimate's half-width: "
+                f"all {trials} trials gave the same residual power {mean_res!r}, so the "
+                f"filtered noise never reached it"
+            )
         var_res = float(np.sum((res_power - mean_res) ** 2)) / (trials - 1)
         # the numerator is formed before the division, so it needs the same
         # normal range, or a small rho*sigma2 gives a half-width of 0.0
         spread = 1.96 * signal * signal * math.sqrt(var_res / trials)
-        if var_res > 0 and not _NORMAL_MIN <= spread < math.inf:
+        if not _NORMAL_MIN <= spread < math.inf:
             raise DegenerateResidual(
                 f"rho*sigma2 = {a2!r} is out of range for the SINR estimate's half-width: "
                 f"1.96 * signal power**2 * sqrt(residual variance / trials) = {spread!r} "

@@ -272,6 +272,20 @@ def test_infinite_payload_exits_2_naming_l(capsys):
     assert "L" in captured.err
 
 
+@pytest.mark.parametrize("scheme, extra", [("ir-oma", ["--c-buf", "inf"]), ("classical", []),
+                                           ("cc-oma", [])])
+def test_non_finite_metrics_exit_2_with_one_error_line(scheme, extra, capsys):
+    # J*rho overflows: IR-OMA's refinement noise is inf/inf (se = nan), and
+    # the classical and CC-OMA sum-optimal rates are inf (ebn0 = nan)
+    argv = ["point", "--scheme", scheme, "--regime", "sum", "--T", "2", "--J", "1e200",
+            "--rho", "1e200", *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+
+
 def test_curve_grid_validation_errors(capsys):
     assert main(["curve", *REF_ARGS, "--grid-points", "1"]) == 2
     assert "grid" in capsys.readouterr().err
@@ -422,6 +436,17 @@ def test_validate_half_width_underflow_exits_2_naming_rho_sigma2(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "rho*sigma2" in captured.err and "half-width" in captured.err
+
+
+def test_validate_constant_residual_exits_2_naming_rho_sigma2(capsys):
+    # interference-limited: at rho*sigma2 = 1e70 the filtered noise is below
+    # the last bit of the interference, so every trial gives the same
+    # residual power and the half-width would be 0.0
+    assert main(["validate", "--rho", "1e70"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "rho*sigma2" in captured.err and "same residual power" in captured.err
 
 
 def test_validate_negative_seed_exits_2_naming_seed(capsys):

@@ -70,22 +70,30 @@ def test_equicorrelated_eta_domain():
 def explicit_model_sinr(sigs, rho, sigma2, T, active_per_slot, desired, trials, seed):
     """The kernel's estimate, recomputed from the received signal.
 
-    Trial by trial and slot by slot: y_t = a * sum_{j in A_t} s_j + z_t with
-    a = sqrt(rho*sigma2) and z_t circular Gaussian of variance sigma2;
-    combine the slots weighted by the conjugate amplitude, matched-filter
-    with s_desired*, and subtract the desired part T*a^2.  The noise comes
-    from the same streams as the kernel's: 256-trial blocks, block k drawn
-    from child k of SeedSequence(seed) as (block, T, m, real/imag) normals.
+    Trial by trial and slot by slot: y_t = a * sum_{j in A_t} s_j + z_t over
+    all m coordinates, with a = sqrt(rho*sigma2) and z_t circular Gaussian of
+    variance sigma2; combine the slots weighted by the conjugate amplitude,
+    matched-filter with s_desired* over all m coordinates, and subtract the
+    desired part T*a^2.  On the coordinates where s_desired is nonzero the
+    noise comes from the kernel's streams: 256-trial blocks, block k drawn
+    from child k of SeedSequence(seed) as (block, T, |support|, real/imag)
+    normals.  Every other coordinate gets noise from a separate generator,
+    so agreement with the kernel also shows that noise off the support never
+    reaches the estimate.
     """
     m = sigs.shape[1]
     a = math.sqrt(rho * sigma2)
     scale = math.sqrt(sigma2 / 2.0)
     s_d = sigs[desired]
+    support = np.flatnonzero(s_d)
+    off_support = np.random.default_rng(seed + 1000)
     children = np.random.SeedSequence(seed).spawn(-(-trials // 256))
     res_power = []
     for k, child in enumerate(children):
         n = min(256, trials - 256 * k)
-        draws = np.random.default_rng(child).standard_normal((n, T, m, 2))
+        on_support = np.random.default_rng(child).standard_normal((n, T, support.size, 2))
+        draws = off_support.standard_normal((n, T, m, 2))
+        draws[:, :, support, :] = on_support
         for i in range(n):
             combined = 0.0 + 0.0j
             for t in range(T):
@@ -104,14 +112,23 @@ def explicit_model_sinr(sigs, rho, sigma2, T, active_per_slot, desired, trials, 
         (0.1, 16, 6, 3.0, 0.5, [(0, 1), (0, 2, 3, 4)], 0, 300),
         (0.3, 8, 5, 1.0, 1.0, [(1,), (0, 1, 4), (1, 2)], 1, 1),
         (0.3, 12, 7, 0.2, 4.0, [(2, 3, 4, 5, 6), (2,)], 2, 257),
+        (None, 12, 6, 0.7, 2.0, [(0, 3, 5), (3,), (1, 2, 3, 4)], 3, 300),
     ],
 )
 def test_sinr_kernel_matches_explicit_received_signal_model(
     eta, m, J, rho, sigma2, active, desired, trials
 ):
-    # uneven active sets, runs that cross a 256-trial block boundary, and
-    # rho*sigma2 != 1, where a dropped amplitude on the filtered noise shows
-    sigs = make_equicorrelated_signatures(m, J, eta)
+    # uneven active sets, runs that cross a 256-trial block boundary,
+    # rho*sigma2 != 1, where a dropped amplitude on the filtered noise shows,
+    # and (eta None) a dense random signature matrix, whose support is all m
+    # coordinates
+    if eta is None:
+        rng = np.random.default_rng(5)
+        sigs = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))
+        sigs /= np.linalg.norm(sigs, axis=1, keepdims=True)
+        assert np.count_nonzero(sigs[desired]) == m
+    else:
+        sigs = make_equicorrelated_signatures(m, J, eta)
     T = len(active)
     est = simulate_cc_noma_sinr(sigs, rho, sigma2, T, active, desired, trials, seed=11)
     want = explicit_model_sinr(sigs, rho, sigma2, T, active, desired, trials, seed=11)
@@ -139,6 +156,18 @@ def test_out_of_range_power_is_a_named_error_without_warnings(rho, sigma2):
     sigs = make_equicorrelated_signatures(64, 5, 0.1)
     with pytest.raises(DegenerateResidual, match=r"rho\*sigma2"):
         simulate_cc_noma_sinr(sigs, rho, sigma2, 2, [range(5)] * 2, 0, 300, 0, 2)
+
+
+@pytest.mark.parametrize("rho", [1e40, 1e70, 1e77])
+def test_constant_residual_power_is_a_named_error(rho):
+    # interference-limited far enough that the filtered noise falls below the
+    # last bit of the coherent interference: every trial gives the same
+    # residual power, so the run says nothing about the estimate's spread (at
+    # 1e70 the variance is exactly 0; at 1e40 and 1e77 it is not, only because
+    # the mean of the equal powers rounds)
+    sigs = make_equicorrelated_signatures(64, 5, 0.1)
+    with pytest.raises(DegenerateResidual, match=r"rho\*sigma2.*same residual power"):
+        simulate_cc_noma_sinr(sigs, rho, 1.0, 2, [range(5)] * 2, 0, 2000, 0)
 
 
 # ------------------------------------------------------------- SINR estimation
