@@ -61,6 +61,11 @@ def _metrics(se: float, ebn0: float) -> Metrics:
             f"the metrics are not finite (se = {se!r}, ebn0 = {ebn0!r}): "
             f"rho, J, sigma2 or c_buf is too large for float arithmetic"
         )
+    if ebn0 == 0.0:  # its dB value would be log10(0)
+        raise DegenerateRate(
+            f"the SNR per bit underflows to 0 (se = {se!r}): "
+            f"rho * sigma2 is too small for float arithmetic"
+        )
     return Metrics(se, ebn0, _db(ebn0))
 
 

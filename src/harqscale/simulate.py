@@ -23,10 +23,12 @@ equi-correlated signature (2*T at eta = 0), 2*T*m for a dense one.
 Determinism: trials run in fixed blocks of 256; block k draws its noise from
 child k of ``SeedSequence(seed)``, so the random streams are keyed by block
 index (the counter-based seeding of Salmon et al., SC'11) and never by
-thread.  Worker threads take whole blocks, each block writes its own slice of
-the per-trial residual-power array, and the mean and variance are numpy's
-pairwise sums over that whole array, so results are bitwise identical for any
-worker count.
+thread.  Worker threads take chunks: runs of whole blocks, laid out by
+``trials``, ``T`` and |support| alone, that share one draw buffer and are
+reduced together, each trial by the same expressions in any chunk.  A chunk
+writes its own slice of the per-trial residual-power array, and the mean and
+variance are numpy's pairwise sums over that whole array, so results are
+bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -43,11 +45,14 @@ from .closedform import combined_sinr
 from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall
 from .params import Scheme
 
-# Trials per block: one generator, one draw buffer (32 KiB at T = 4 for an
-# equi-correlated signature, 1 MiB for a dense one at m = 64) and one task
-# for the worker threads.  Fixed, so that the random streams do not depend
-# on the worker count.
+# Trials per block: one generator, so one slice of the random streams.
+# Fixed, so that the streams depend on neither the worker count nor the
+# chunk layout.
 _BLOCK = 256
+# Draw-buffer budget of a chunk, a run of whole blocks reduced together and
+# one task for the worker threads: 8 blocks at T = 4 for an equi-correlated
+# signature with eta > 0, 1 block for a dense one at m = 64.
+_CHUNK_BYTES = 2**18
 _NORMAL_MIN = sys.float_info.min
 
 
@@ -97,8 +102,8 @@ def simulate_cc_noma_sinr(
     is the trial-independent T*rho*sigma2; everything else (coherent
     cross-correlations plus filtered noise) is the residual.  The estimate is
     (T*rho*sigma2)^2 over the mean residual power, with a delta-method
-    confidence half-width.  ``workers`` threads share out the 256-trial
-    blocks; the result is the same for any value.
+    confidence half-width.  ``workers`` threads share out the chunks of
+    256-trial blocks; the result is the same for any value.
     """
     if len(active_per_slot) != T:
         raise ValueError(f"active_per_slot has {len(active_per_slot)} slots, expected T={T}")
@@ -134,25 +139,30 @@ def simulate_cc_noma_sinr(
 
     n_blocks = -(-trials // _BLOCK)
     children = np.random.SeedSequence(seed).spawn(n_blocks)
+    # a block's draws take 16 bytes (two float64) per trial, slot and coordinate
+    per_chunk = max(1, _CHUNK_BYTES // (_BLOCK * T * support.size * 16))
+    n_chunks = -(-n_blocks // per_chunk)
     res_power = np.empty(trials, dtype=float)
 
-    def run_block(k: int) -> None:
-        lo = k * _BLOCK
-        hi = min(lo + _BLOCK, trials)
-        rng = np.random.default_rng(children[k])
-        draws = rng.standard_normal((hi - lo, T, support.size, 2))
+    def run_chunk(c: int) -> None:
+        k0, k1 = c * n_blocks // n_chunks, (c + 1) * n_blocks // n_chunks
+        lo, hi = k0 * _BLOCK, min(k1 * _BLOCK, trials)
+        draws = np.empty((hi - lo, T, support.size, 2))
+        for k in range(k0, k1):  # block k fills its own slice from child k
+            b0 = (k - k0) * _BLOCK
+            np.random.default_rng(children[k]).standard_normal(out=draws[b0:b0 + _BLOCK])
         draws *= scale
-        z = draws.view(complex)[..., 0]  # (block, T, |support|) complex noise
+        z = draws.view(complex)[..., 0]  # (chunk, T, |support|) complex noise
         residual = clean_residual + a * (z @ filt).sum(axis=1)
         with np.errstate(over="ignore"):  # an overflow is reported below, by name
             res_power[lo:hi] = residual.real**2 + residual.imag**2
 
     if workers == 1:
-        for k in range(n_blocks):
-            run_block(k)
+        for c in range(n_chunks):
+            run_chunk(c)
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            list(pool.map(run_block, range(n_blocks)))
+        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            list(pool.map(run_chunk, range(n_chunks)))
 
     with np.errstate(over="ignore"):
         mean_res = float(np.sum(res_power)) / trials

@@ -286,6 +286,15 @@ def test_non_finite_metrics_exit_2_with_one_error_line(scheme, extra, capsys):
     assert "not finite" in captured.err
 
 
+def test_snr_per_bit_underflow_exits_2_naming_rho_and_sigma2(capsys):
+    # rho * sigma2 rounds to 0, so ebn0 = 0 and its dB value is log10(0)
+    assert main(["point", "--rho", "0.1", "--sigma2", "5e-324"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "rho" in captured.err and "sigma2" in captured.err
+
+
 def test_curve_grid_validation_errors(capsys):
     assert main(["curve", *REF_ARGS, "--grid-points", "1"]) == 2
     assert "grid" in capsys.readouterr().err

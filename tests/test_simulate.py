@@ -22,6 +22,7 @@ from harqscale import (
     simulate_cc_noma_sinr,
     verify_cc_oma_noise_expansion,
 )
+from harqscale.simulate import _BLOCK, _CHUNK_BYTES
 
 # seed pinned for the oracle-agreement grid: every cell lands within its own
 # 95% half-width and within 5% relative error (worst cell 3.5%)
@@ -33,6 +34,13 @@ def rel(a: float, b: float) -> float:
 
 
 # -------------------------------------------------------------- constructions
+
+
+def dense_signatures(J: int, m: int, seed: int) -> np.ndarray:
+    """J random unit-norm complex signatures of length m, nonzero everywhere."""
+    rng = np.random.default_rng(seed)
+    sigs = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))
+    return sigs / np.linalg.norm(sigs, axis=1, keepdims=True)
 
 
 def test_equicorrelated_inner_products_are_exact():
@@ -123,9 +131,7 @@ def test_sinr_kernel_matches_explicit_received_signal_model(
     # and (eta None) a dense random signature matrix, whose support is all m
     # coordinates
     if eta is None:
-        rng = np.random.default_rng(5)
-        sigs = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))
-        sigs /= np.linalg.norm(sigs, axis=1, keepdims=True)
+        sigs = dense_signatures(J, m, 5)
         assert np.count_nonzero(sigs[desired]) == m
     else:
         sigs = make_equicorrelated_signatures(m, J, eta)
@@ -204,25 +210,65 @@ def test_sinr_estimate_is_seed_deterministic():
     assert c.mean != a.mean
 
 
+def _chunk_spanning_trials(T: int, support_size: int) -> int:
+    # enough trials for at least three chunks, the last block one trial long
+    per_chunk = max(1, _CHUNK_BYTES // (_BLOCK * T * support_size * 16))
+    return (2 * per_chunk + 1) * _BLOCK + 1
+
+
 def test_sinr_estimate_is_worker_count_invariant():
     # streams keyed by block index plus pairwise reduction: the estimate must
-    # not depend on how the blocks were split across threads, including runs
-    # that end inside, exactly on, or just past a 256-trial block boundary
-    # (a short switch interval makes the threads interleave as often as they
-    # can, so a race on the shared per-trial array would show)
-    sigs = make_equicorrelated_signatures(16, 5, 0.1)
+    # not depend on how the chunks were split across threads, including runs
+    # that end inside, exactly on, or just past a 256-trial block boundary,
+    # and runs of three or more chunks (equi-correlated at T = 4, and a dense
+    # signature) that end in a partial block (a short switch interval makes
+    # the threads interleave as often as they can, so a race on the shared
+    # per-trial array would show)
+    equi = make_equicorrelated_signatures(16, 5, 0.1)
+    dense = dense_signatures(5, 16, 3)
+    cases = [(equi, 2, trials) for trials in (1, 255, 256, 257, 600, 2000)]
+    cases += [(equi, 4, _chunk_spanning_trials(4, 2)), (dense, 2, _chunk_spanning_trials(2, 16))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for trials in (1, 255, 256, 257, 600, 2000):
+        for sigs, T, trials in cases:
             runs = [
-                simulate_cc_noma_sinr(sigs, 1.0, 1.0, 2, [range(5)] * 2, 0, trials, 9, workers=w)
+                simulate_cc_noma_sinr(sigs, 1.0, 1.0, T, [range(5)] * T, 0, trials, 9, workers=w)
                 for w in (1, 2, 3, 8)
             ]
-            assert len({r.mean for r in runs}) == 1, trials
-            assert len({r.half_width_95 for r in runs}) == 1, trials
+            assert len({r.mean for r in runs}) == 1, (T, trials)
+            assert len({r.half_width_95 for r in runs}) == 1, (T, trials)
     finally:
         sys.setswitchinterval(interval)
+
+
+# (mean, half_width_95) as float.hex, recorded from the 256-trial-block
+# kernel that drew each block's noise on the filter's support
+FROZEN_ESTIMATES = [
+    ("T1", 1, [range(5)], 10_000, "0x1.b7b8560169675p-1", "0x1.13b216c74a90ap-6"),
+    ("T2", 2, [range(5)] * 2, 10_000, "0x1.83d1a2d1145b9p+0", "0x1.d641f50dbd9cfp-6"),
+    ("T4", 4, [range(5)] * 4, 10_000, "0x1.3c2e40d9cd418p+1", "0x1.6e3303a0a6f66p-5"),
+    ("257", 2, [range(5)] * 2, 257, "0x1.98b55864d399ep+0", "0x1.7b7b9b8d85dd3p-3"),
+    ("dense", 3, [(0, 3, 5), (3,), (1, 2, 3, 4)], 300,
+     "0x1.f97dc3777f549p+0", "0x1.89244c1476f5bp-3"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, T, active, trials, mean_hex, half_hex", FROZEN_ESTIMATES)
+def test_sinr_random_streams_are_frozen(name, T, active, trials, mean_hex, half_hex, workers):
+    # the criterion-6 cells at eta = 0.1, 5 users, m = 64 (seed 1), a run
+    # one trial past a block boundary and a dense signature: a change to the
+    # seeding, the draw layout or the order of the reductions moves these
+    # bits, so any such change is a deliberate data change
+    if name == "dense":  # the dense case of the explicit-model test above
+        est = simulate_cc_noma_sinr(dense_signatures(6, 12, 5), 0.7, 2.0, T, active, 3, trials,
+                                    11, workers)
+    else:
+        sigs = make_equicorrelated_signatures(64, 5, 0.1)
+        est = simulate_cc_noma_sinr(sigs, 1.0, 1.0, T, active, 0, trials, 1, workers)
+    assert est.mean == float.fromhex(mean_hex)
+    assert est.half_width_95 == float.fromhex(half_hex)
 
 
 def test_sinr_half_width_is_calibrated_across_seeds():
