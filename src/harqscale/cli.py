@@ -7,12 +7,14 @@ Subcommands
     limits    print every applicable closed-form floor/limit
     validate  run the Monte-Carlo oracle against the closed form
 
-A config file of ``key = value`` lines (--config) can supply any flag, keyed
-by the flag name with ``_`` for ``-``; flags given on the command line
-override it.  Both are declared once, in ``OPTIONS``.  Relative --output paths are placed
-under $HARQSCALE_OUT_DIR when that is set.  Tables go to stdout when no
---output is given.  The simulator (and numpy) loads only when ``validate``
-runs; ``curve`` and ``density`` load numpy to build their grids.
+``validate`` takes only the parameters its oracle reads (rho, T, eta, sigma2)
+and runs J = T * users_per_slot transmissions.  A config file of ``key =
+value`` lines (--config) can supply any flag, keyed by the flag name with
+``_`` for ``-``; a command checks every key, uses those it takes, and lets
+flags override them.  Both are declared once, in ``OPTIONS``.  Relative
+--output paths are placed under $HARQSCALE_OUT_DIR when that is set; tables
+go to stdout when no --output is given.  The simulator (and numpy) loads only
+when ``validate`` runs; ``curve`` and ``density`` load numpy for their grids.
 
 Exit codes: 0 success (validation passed), 2 bad flag/config/parameter or an
 evaluation error, 3 validation failure.
@@ -28,7 +30,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import __version__
+from . import __getattr__, __version__  # the simulator's names load on first use
 from .closedform import evaluate
 from .errors import ConfigError, HarqScaleError, UnsupportedCombination
 from .limits import Hold, ebn0_cbuf_infinity_ir_tin, ebn0_floor, ebn0_rho_zero_limit
@@ -38,8 +40,9 @@ from .tables import curve_to_csv, curve_to_json
 
 OUT_DIR_ENV = "HARQSCALE_OUT_DIR"
 
-_ALL = ("point", "curve", "density", "limits", "validate")
 _CURVES = ("curve", "density")
+_CLOSED_FORM = ("point", *_CURVES, "limits")
+_ALL = (*_CLOSED_FORM, "validate")
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,12 @@ class Option:
 # The SchemeParams fields become options named, typed and defaulted as
 # declared there; the run-only options are listed here once.
 OPTIONS = {
-    "scheme": Option(str, "classical", choices=tuple(s.value for s in Scheme)),
-    "regime": Option(str, "sum", choices=tuple(r.value for r in Regime)),
-    **{f.name: Option(type(f.default), f.default) for f in fields(SchemeParams)},
+    "scheme": Option(str, "classical", _CLOSED_FORM, tuple(s.value for s in Scheme)),
+    "regime": Option(str, "sum", _CLOSED_FORM, tuple(r.value for r in Regime)),
+    # validate's oracle reads rho, T, eta and sigma2, and sets J = T * users_per_slot
+    **{f.name: Option(type(f.default), f.default,
+                      _ALL if f.name in ("rho", "T", "eta", "sigma2") else _CLOSED_FORM)
+       for f in fields(SchemeParams)},
     "output": Option(str, None, metavar="PATH"),
     "format": Option(str, "csv", ("point", *_CURVES), ("csv", "json")),
     "workers": Option(int, 1, ("validate",)),
@@ -75,9 +81,8 @@ OPTIONS = {
     "mode": Option(str, "waveform", ("validate",), ("waveform", "amplitude")),
 }
 
-# validate exercises the non-orthogonal construction, which needs eta < 1
-# (and a user count that satisfies J >= T once T is bumped to 2)
-_VALIDATE_DEFAULTS = {"eta": 0.1, "T": 2, "J": 10.0}
+# validate exercises the non-orthogonal construction (eta < 1) over two slots
+_VALIDATE_DEFAULTS = {"eta": 0.1, "T": 2}
 
 
 @dataclass(frozen=True)
@@ -136,14 +141,16 @@ def _merged(ns: argparse.Namespace) -> dict:
     for key, opt in OPTIONS.items():
         if key in file_vals:
             try:
-                merged[key] = opt.type(file_vals[key])
+                value = opt.type(file_vals[key])
             except ValueError as exc:
                 raise ConfigError(f"config: bad value for {key}: {file_vals[key]!r}") from exc
-            if opt.choices and merged[key] not in opt.choices:
+            if opt.choices and value not in opt.choices:
                 raise ConfigError(
                     f"config: bad value for {key}: {file_vals[key]!r} "
                     f"(choose from {', '.join(opt.choices)})"
                 )
+            if ns.command in opt.commands:
+                merged[key] = value
         flag = getattr(ns, key, None)
         if flag is not None:
             merged[key] = flag
@@ -152,21 +159,6 @@ def _merged(ns: argparse.Namespace) -> dict:
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     m = _merged(ns)
-    if ns.command == "density" and m["J"] < m["T"]:
-        # density sweeps J, so the base value is ignored; keep it compatible
-        # with T instead of rejecting the (unused) default
-        m["J"] = float(m["T"])
-    try:
-        params = SchemeParams(**{f.name: m.pop(f.name) for f in fields(SchemeParams)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if ns.command in _CURVES:
-        if not m["grid_min"] < m["grid_max"]:
-            raise ConfigError(
-                f"grid_min must be < grid_max, got {m['grid_min']!r} >= {m['grid_max']!r}"
-            )
-        if m["grid_points"] < 2:
-            raise ConfigError(f"grid_points must be >= 2 for curves, got {m['grid_points']!r}")
     if ns.command == "validate":
         for key in ("trials", "workers", "m", "users_per_slot"):
             if m[key] < 1:
@@ -175,6 +167,18 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
         if m["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {m['seed']!r}")
+        # the oracle runs users_per_slot transmissions in each of the T slots
+        m["J"] = float(m["T"] * m["users_per_slot"])
+    elif ns.command == "density" and m["J"] < m["T"]:
+        # density sweeps J: keep the unused base value compatible with T
+        m["J"] = float(m["T"])
+    try:
+        params = SchemeParams(**{f.name: m.pop(f.name) for f in fields(SchemeParams)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # make_grid checks the bounds; only a curve needs a second point
+    if ns.command in _CURVES and m["grid_points"] < 2:
+        raise ConfigError(f"grid_points must be >= 2 for curves, got {m['grid_points']!r}")
     return RunConfig(ns.command, Scheme(m["scheme"]), Regime(m["regime"]), params, m)
 
 
@@ -243,20 +247,6 @@ def _cmd_limits(cfg: RunConfig) -> int:
         lines.append(f"no closed-form limits for {cfg.scheme.value}/{cfg.regime.value}")
     _emit("\n".join(lines) + "\n", cfg.options["output"])
     return 0
-
-
-_SIMULATE_NAMES = ("analytic_sinr", "make_equicorrelated_signatures", "simulate_cc_noma_sinr",
-                   "verify_cc_oma_noise_expansion")
-
-
-def __getattr__(name: str):
-    """Import the simulator, and numpy with it, on first use of its names."""
-    if name not in _SIMULATE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simulate
-
-    globals()[name] = value = getattr(simulate, name)
-    return value
 
 
 def _cmd_validate(cfg: RunConfig) -> int:

@@ -118,7 +118,8 @@ def ir_quant_noise(
     T-1 (the energy-per-bit accounting) or T (the per-frame rate accounting).
     In the TIN regime the refinement only has to describe the desired user's
     share, so a large enough buffer drives the expression to zero and the
-    result is clamped (flagged).
+    result is clamped (flagged).  A buffer so small that 2**(2*c_buf/(horizon*B))
+    rounds to 1 raises DegenerateRate.
     """
     p = params
     if horizon not in (p.T - 1, p.T):
@@ -133,6 +134,11 @@ def ir_quant_noise(
         grow = 2.0 ** (2.0 * p.c_buf / (horizon * p.B)) - 1.0
     except OverflowError:
         grow = math.inf
+    if grow == 0.0:
+        raise DegenerateRate(
+            f"c_buf = {p.c_buf!r} is too small for float arithmetic: "
+            f"the buffer growth 2**(2*c_buf/(horizon*B)) - 1 rounds to 0"
+        )
     if regime is Regime.SUM_OPTIMAL:
         return QuantNoise(p.B * (p.J * p.rho / p.B + 1.0) * p.sigma2 / grow, False)
     value = (
@@ -208,7 +214,8 @@ def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
     bits = log2(1 + sinr) of the combined channel.  TIN: se = (J/(2T))*bits
     and ebn0 = T*sigma2*rho/bits.  Sum-optimal: se = bits/2 and
     ebn0 = J*sigma2*rho/bits, times T for classical (per-attempt energy).
-    rho = 0 makes the ratio 0/0 and raises DegenerateRate.
+    rho = 0 makes the ratio 0/0 and raises DegenerateRate, and so does an SINR
+    that overflows.
     """
     p = params
     if p.rho == 0.0:
@@ -218,7 +225,14 @@ def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
         )
     if scheme is Scheme.IR_OMA:
         return _ir_oma(p, regime)
-    bits = _log2(1.0 + _sinr(scheme, regime, p))
+    try:
+        sinr = _sinr(scheme, regime, p)
+    except OverflowError as exc:
+        raise DegenerateRate(
+            f"the SINR overflows: J = {p.J!r} or rho = {p.rho!r} "
+            f"is too large for float arithmetic"
+        ) from exc
+    bits = _log2(1.0 + sinr)
     if regime is Regime.TIN:
         return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
     energy = p.J * p.sigma2 * p.rho

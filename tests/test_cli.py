@@ -295,6 +295,29 @@ def test_snr_per_bit_underflow_exits_2_naming_rho_and_sigma2(capsys):
     assert "rho" in captured.err and "sigma2" in captured.err
 
 
+@pytest.mark.parametrize("regime", ["sum", "tin"])
+def test_sinr_overflow_exits_2_naming_j(regime, capsys):
+    # (J/T - 1)**2 in the CC-NOMA SINR overflows float
+    argv = ["point", "--scheme", "cc-noma", "--regime", regime, "--J", "1e200"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "J = 1e+200" in captured.err
+
+
+@pytest.mark.parametrize("regime", ["sum", "tin"])
+def test_tiny_ir_buffer_exits_2_naming_c_buf(regime, capsys):
+    # 2**(2*c_buf/(h*B)) rounds to 1, so the refinement noise would divide by 0
+    argv = ["point", "--scheme", "ir-oma", "--regime", regime, "--T", "2", "--J", "4",
+            "--c-buf", "1e-300"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "c_buf = 1e-300" in captured.err
+
+
 def test_curve_grid_validation_errors(capsys):
     assert main(["curve", *REF_ARGS, "--grid-points", "1"]) == 2
     assert "grid" in capsys.readouterr().err
@@ -321,6 +344,16 @@ def test_workers_flag_is_validate_only(command):
     # only the simulator runs threads; elsewhere the flag is unknown
     with pytest.raises(SystemExit) as exc:
         main([command, "--workers", "4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--scheme", "cc-noma"), ("--regime", "tin"),
+                                         ("--J", "20"), ("--B", "2"), ("--c-buf", "4"),
+                                         ("--L", "50")])
+def test_validate_rejects_the_parameters_its_oracle_does_not_read(flag, value):
+    # the oracle checks CC-NOMA at J = T * users_per_slot; B, c_buf and L are unused
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", flag, value])
     assert exc.value.code == 2
 
 
@@ -404,6 +437,26 @@ def test_validate_waveform_reference_run(capsys):
     assert rc == 0
     assert out.strip().endswith("PASS")
     assert "analytic=1.5151515151515151" in out
+
+
+def test_validate_runs_t_times_users_per_slot_transmissions(capsys):
+    # J is T * users_per_slot = 33, with no default of its own for T = 11 to exceed
+    assert main(["validate", "--T", "11", "--users-per-slot", "3"]) == 0
+    out = capsys.readouterr().out
+    analytic = harqscale.analytic_sinr(Scheme.CC_NOMA, 1.0, 11, (3,) * 11, 0.1)
+    assert f"analytic={analytic!r} " in out
+
+
+@pytest.mark.parametrize("line", ["J = 1", "J = 3", "c_buf = 0"])
+def test_validate_ignores_config_keys_it_does_not_take(line, tmp_path, capsys):
+    # checked for type and choices like every key, then left out of the oracle's run
+    argv = ["validate", "--trials", "300"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_validate_defaults_pass(capsys):
@@ -523,6 +576,11 @@ def test_lazy_simulate_names_resolve_and_unknown_names_raise():
         harqscale.no_such_name
     with pytest.raises(AttributeError, match="no_such_name"):
         harqscale.cli.no_such_name
+    # one table of lazy names: the CLI defers to the package's hook
+    assert harqscale.cli.__getattr__ is harqscale.__getattr__
+    for name in ("make_equicorrelated_signatures", "simulate_cc_noma_sinr", "analytic_sinr",
+                 "verify_cc_oma_noise_expansion"):
+        assert getattr(harqscale.cli, name) is getattr(harqscale, name)
 
 
 def test_validate_calls_a_wrapper_set_on_the_cli_module(capsys):

@@ -207,6 +207,15 @@ def test_quant_noise_survives_huge_buffers():
     assert q.value == 0.0 and q.clamped
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_quant_noise_of_a_vanishing_buffer_is_a_named_error(regime, horizon):
+    # 2**(2 c_buf / (h B)) rounds to 1, so the noise power would be x / 0
+    p = SchemeParams(rho=1.0, T=2, J=10.0, c_buf=1e-300)
+    with pytest.raises(DegenerateRate, match="c_buf"):
+        ir_quant_noise(p, regime, 1, horizon)
+
+
 @given(
     rho=st.floats(1e-3, 1e3),
     cb=st.floats(0.05, 50.0),
