@@ -168,7 +168,10 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         if m["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {m['seed']!r}")
         # the oracle runs users_per_slot transmissions in each of the T slots
-        m["J"] = float(m["T"] * m["users_per_slot"])
+        try:
+            m["J"] = float(m["T"] * m["users_per_slot"])
+        except OverflowError:
+            raise ConfigError("T * users_per_slot is too large for float arithmetic") from None
     elif ns.command == "density" and m["J"] < m["T"]:
         # density sweeps J: keep the unused base value compatible with T
         m["J"] = float(m["T"])

@@ -18,9 +18,9 @@ its extra factor T from the per-attempt energy accounting).
 
 Floating-point note: the T=1 collapse of classical / CC-OMA / IR-OMA is an
 *exact* identity and the test suite checks it bit-for-bit, so the SINRs of
-:func:`_sinr` and :func:`_ir_oma` are written in matching shapes (same operand
-order) and all but IR-OMA's go through the one accounting per regime in
-:func:`evaluate` (TIN energy ratio in the reduced form
+:func:`combined_sinr` and :func:`_ir_oma` are written in matching shapes
+(same operand order) and all but IR-OMA's go through the one accounting per
+regime in :func:`evaluate` (TIN energy ratio in the reduced form
 ``T*sigma2*rho / log2(1+sinr)``).  Keep that alignment when editing.
 """
 
@@ -50,22 +50,23 @@ class Metrics:
     ebn0_db: float      # 10*log10(ebn0_linear), fixed at construction
 
 
-def _db(linear: float) -> float:
-    return 10.0 * math.log10(linear)
+_TOO_LARGE = "rho, J, sigma2 or c_buf is too large for float arithmetic"
+
+
+def _db(ebn0: float) -> float:
+    # every published SNR per bit (each Metrics, each limit) gets its dB value
+    # here, so none is an inf, a NaN or log10(0)
+    if not math.isfinite(ebn0):
+        raise DegenerateRate(f"the SNR per bit is not finite ({ebn0!r}): {_TOO_LARGE}")
+    if ebn0 == 0.0:
+        raise DegenerateRate("the SNR per bit underflows to 0: rho or sigma2 is too small")
+    return 10.0 * math.log10(ebn0)
 
 
 def _metrics(se: float, ebn0: float) -> Metrics:
     # every Metrics is built here, so no evaluation publishes an inf or a NaN
-    if not (math.isfinite(se) and math.isfinite(ebn0)):
-        raise DegenerateRate(
-            f"the metrics are not finite (se = {se!r}, ebn0 = {ebn0!r}): "
-            f"rho, J, sigma2 or c_buf is too large for float arithmetic"
-        )
-    if ebn0 == 0.0:  # its dB value would be log10(0)
-        raise DegenerateRate(
-            f"the SNR per bit underflows to 0 (se = {se!r}): "
-            f"rho * sigma2 is too small for float arithmetic"
-        )
+    if not math.isfinite(se):
+        raise DegenerateRate(f"the spectral efficiency is not finite ({se!r}): {_TOO_LARGE}")
     return Metrics(se, ebn0, _db(ebn0))
 
 
@@ -86,25 +87,38 @@ def total_power(params: SchemeParams) -> float:
     return params.J * params.sigma2 * params.rho
 
 
-def _cc_noma_sum_gain(params: SchemeParams) -> float:
-    """CC-NOMA sum-optimal SINR per unit rho*T: 1 + eta^2*(J/T - 1)^2."""
-    p = params
-    return 1.0 + p.eta**2 * (p.J / p.T - 1.0) ** 2
+def combined_sinr(
+    scheme: Scheme, regime: Regime, rho: float, T: int, J: float, eta: float
+) -> float:
+    """Combined-channel SINR of classical, CC-NOMA and CC-OMA, J transmissions
+    over T slots, the one place each form is written.
 
-
-def combined_sinr(scheme: Scheme, rho: float, T: int, J: float, eta: float) -> float:
-    """Post-combining SINR of chase combining, J transmissions over T slots.
-
-    CC-NOMA: the J - T interfering transmissions add coherently, hence the
-    squared term scaled by eta^2.  CC-OMA: orthogonal resources leak only
-    through the shared slot budget, hence the linear term (eta unused).  TIN
-    :func:`evaluate` and the Monte-Carlo oracle's reference both call this.
+    CC-NOMA's J - T interferers add coherently (the squared term in eta);
+    CC-OMA leaks only through the shared slot budget (eta unused).  The
+    sum-optimal forms are linear in rho, so their value at rho = 1 is the
+    slope that sets the SNR-per-bit floor.  An SINR that overflows raises
+    DegenerateRate; IR-OMA raises UnsupportedCombination.
     """
-    if scheme is Scheme.CC_NOMA:
-        return rho * T**2 / (T + rho * eta**2 * (J - T) ** 2)
-    if scheme is Scheme.CC_OMA:
-        return rho * T / (rho * (J / T - 1.0) + 1.0)
-    raise UnsupportedCombination(f"no combined-receiver SINR form for {scheme.value}")
+    try:
+        if regime is Regime.SUM_OPTIMAL:
+            if scheme is Scheme.CLASSICAL:
+                return rho * J / T
+            if scheme is Scheme.CC_NOMA:
+                return rho * T * (1.0 + eta**2 * (J / T - 1.0) ** 2)
+            if scheme is Scheme.CC_OMA:
+                return rho * T * (1.0 + (1.0 / T) * (J / T - 1.0))
+        elif scheme is Scheme.CLASSICAL:
+            return rho / (rho * (J / T - 1.0) + 1.0)
+        elif scheme is Scheme.CC_NOMA:
+            return rho * T**2 / (T + rho * eta**2 * (J - T) ** 2)
+        elif scheme is Scheme.CC_OMA:
+            return rho * T / (rho * (J / T - 1.0) + 1.0)
+    except OverflowError as exc:
+        raise DegenerateRate(
+            f"the SINR overflows: J = {J!r} or T = {T!r} "
+            f"is too large for float arithmetic"
+        ) from exc
+    raise UnsupportedCombination(f"no combined-channel SINR form for {scheme.value}")
 
 
 def ir_quant_noise(
@@ -161,25 +175,6 @@ def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float
     return (p.B / 2.0) * _log2(1.0 + (p.J * p.rho + p.B) * p.sigma2 / sigma_q2)
 
 
-def _sinr(scheme: Scheme, regime: Regime, params: SchemeParams) -> float:
-    """Combined-channel SINR of classical, CC-NOMA and CC-OMA.
-
-    Sum-optimal CC-OMA swaps CC-NOMA's coherent (J/T - 1)^2 term in eta for a
-    1/T leak through the shared slot budget; TIN chase combining is
-    :func:`combined_sinr`.
-    """
-    p = params
-    if regime is Regime.SUM_OPTIMAL:
-        if scheme is Scheme.CLASSICAL:
-            return p.rho * p.J / p.T
-        if scheme is Scheme.CC_NOMA:
-            return p.rho * p.T * _cc_noma_sum_gain(p)
-        return p.rho * p.T * (1.0 + (1.0 / p.T) * (p.J / p.T - 1.0))
-    if scheme is Scheme.CLASSICAL:
-        return p.rho / (p.rho * (p.J / p.T - 1.0) + 1.0)
-    return combined_sinr(scheme, p.rho, p.T, p.J, p.eta)
-
-
 def _ir_slot_sinr(p: SchemeParams, regime: Regime, q: float) -> float:
     if regime is Regime.SUM_OPTIMAL:
         return (p.rho * p.J / p.B) / (1.0 + q / (p.B * p.sigma2))
@@ -225,13 +220,7 @@ def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
         )
     if scheme is Scheme.IR_OMA:
         return _ir_oma(p, regime)
-    try:
-        sinr = _sinr(scheme, regime, p)
-    except OverflowError as exc:
-        raise DegenerateRate(
-            f"the SINR overflows: J = {p.J!r} or rho = {p.rho!r} "
-            f"is too large for float arithmetic"
-        ) from exc
+    sinr = combined_sinr(scheme, regime, p.rho, p.T, p.J, p.eta)
     bits = _log2(1.0 + sinr)
     if regime is Regime.TIN:
         return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .closedform import _LN2, _cc_noma_sum_gain, _db, evaluate, total_power
+from .closedform import _LN2, _db, combined_sinr, evaluate, total_power
 from .errors import UnsupportedCombination
 from .params import Regime, Scheme, SchemeParams
 
@@ -53,8 +53,8 @@ def ebn0_floor(scheme: Scheme, regime: Regime, params: SchemeParams) -> LimitRes
     """
     p = params
     if scheme is Scheme.CC_NOMA and regime is Regime.SUM_OPTIMAL:
-        value = _LN2 * p.J * p.sigma2 / (p.T * _cc_noma_sum_gain(p))
-        return _result(value, LimitKind.FLOOR_SE_TO_ZERO)
+        slope = combined_sinr(scheme, regime, 1.0, p.T, p.J, p.eta)
+        return _result(_LN2 * p.J * p.sigma2 / slope, LimitKind.FLOOR_SE_TO_ZERO)
     if scheme in (Scheme.CC_NOMA, Scheme.CC_OMA) and regime is Regime.TIN:
         return _result(_LN2 * p.sigma2, LimitKind.FLOOR_SE_TO_ZERO)
     raise UnsupportedCombination(

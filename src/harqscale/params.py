@@ -69,7 +69,11 @@ class SchemeParams:
     def __post_init__(self) -> None:
         for name in ("T", "B"):
             raw = getattr(self, name)
-            if not math.isfinite(raw) or raw != int(raw):
+            try:
+                finite = math.isfinite(raw)
+            except OverflowError:  # an int beyond float range
+                raise ValueError(f"{name} is too large for float arithmetic") from None
+            if not finite or raw != int(raw):
                 raise ValueError(f"{name} must be an integer, got {raw!r}")
             object.__setattr__(self, name, int(raw))
         check_rho(self.rho)

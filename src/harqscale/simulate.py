@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import combined_sinr
-from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall
-from .params import Scheme
+from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall, UnsupportedCombination
+from .params import Regime, Scheme
 
 # Trials per block: one generator, so one slice of the random streams.
 # Fixed, so that the streams depend on neither the worker count nor the
@@ -220,7 +220,9 @@ def analytic_sinr(
         raise ValueError(f"per_slot_counts has {len(counts)} slots, expected T={T}")
     if any(c < 1 for c in counts):
         raise ValueError(f"every slot needs >= 1 user, got {counts!r}")
-    return combined_sinr(scheme, rho, T, float(sum(counts)), eta)
+    if scheme not in (Scheme.CC_NOMA, Scheme.CC_OMA):
+        raise UnsupportedCombination(f"no chase-combining SINR for {scheme.value}")
+    return combined_sinr(scheme, Regime.TIN, rho, T, float(sum(counts)), eta)
 
 
 def verify_cc_oma_noise_expansion(

@@ -295,15 +295,50 @@ def test_snr_per_bit_underflow_exits_2_naming_rho_and_sigma2(capsys):
     assert "rho" in captured.err and "sigma2" in captured.err
 
 
-@pytest.mark.parametrize("regime", ["sum", "tin"])
-def test_sinr_overflow_exits_2_naming_j(regime, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["point", "--regime", "sum"], id="sum"),
+    pytest.param(["point", "--regime", "tin"], id="tin"),
+    # the floor reads the SINR at rho = 1, a value this command never gave
+    pytest.param(["limits", "--regime", "sum", "--rho", "0.5"], id="limits-sum"),
+])
+def test_sinr_overflow_exits_2_naming_j(argv, capsys):
     # (J/T - 1)**2 in the CC-NOMA SINR overflows float
-    argv = ["point", "--scheme", "cc-noma", "--regime", regime, "--J", "1e200"]
-    assert main(argv) == 2
+    assert main([*argv, "--scheme", "cc-noma", "--J", "1e200"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "J = 1e+200" in captured.err
+    assert "rho" not in captured.err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    # P_tot = J*sigma2*rho overflows to inf on the fixed-total-power path
+    (["--scheme", "cc-noma", "--regime", "sum", "--rho", "1e300", "--J", "1e10",
+      "--sigma2", "1e10"], "not finite"),
+    (["--scheme", "classical", "--regime", "tin", "--T", "1", "--rho", "1e300",
+      "--J", "1e300"], "not finite"),
+    # P_tot underflows to 0, whose dB value would be log10(0)
+    (["--scheme", "cc-noma", "--regime", "sum", "--rho", "1e-200", "--J", "1",
+      "--sigma2", "1e-200"], "underflows to 0"),
+], ids=["inf-cc-noma-sum", "inf-classical-tin", "zero-cc-noma-sum"])
+def test_limits_never_print_inf_or_a_math_domain_error(argv, needle, capsys):
+    assert main(["limits", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err and "rho" in captured.err and "sigma2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--T", str(10**400)],
+    ["point", "--B", str(10**400)],
+    ["validate", "--T", str(10**400)],
+], ids=["point-T", "point-B", "validate-T"])
+def test_integer_beyond_float_range_exits_2_naming_it(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[1][2:]} ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("regime", ["sum", "tin"])

@@ -498,6 +498,8 @@ def test_qinv_round_trips_through_tail_probability():
         (dict(B=float("inf")), "B"),
         (dict(T=float("nan")), "T"),
         (dict(L=float("inf")), "L"),
+        (dict(T=10**400), "T"),
+        (dict(B=10**400), "B"),
     ],
 )
 def test_invalid_parameters_name_the_offender(kwargs, needle):

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harqscale import (
     DegenerateRate,
@@ -43,6 +44,23 @@ def test_tin_floor_is_ln2_times_noise_power():
 def test_cc_noma_sum_floor_value():
     r = ebn0_floor(Scheme.CC_NOMA, Regime.SUM_OPTIMAL, SchemeParams(rho=1.0, T=2, J=10.0, eta=1.0))
     assert rel(r.value_linear, 0.20386681781174862) < 1e-12
+
+
+@given(
+    rho=st.floats(1e-6, 1e6),
+    T=st.integers(1, 16),
+    j_mult=st.floats(1.0, 1e3),
+    eta=st.floats(0.0, 1.0),
+    sigma2=st.floats(1e-6, 1e6),
+)
+@settings(max_examples=300, deadline=None)
+def test_cc_noma_sum_floor_is_bit_exact_against_the_formula_written_out(
+    rho, T, j_mult, eta, sigma2
+):
+    J = T * j_mult
+    p = SchemeParams(rho=rho, T=T, J=J, eta=eta, sigma2=sigma2)
+    r = ebn0_floor(Scheme.CC_NOMA, Regime.SUM_OPTIMAL, p)
+    assert r.value_linear == LN2 * J * sigma2 / (T * (1 + eta**2 * (J / T - 1) ** 2))
 
 
 def test_floor_unsupported_pairs_raise():

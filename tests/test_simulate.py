@@ -338,6 +338,8 @@ def test_analytic_sinr_validation():
         analytic_sinr(Scheme.CC_NOMA, 1.0, 2, (5, 0), 0.1)  # empty slot
     with pytest.raises(UnsupportedCombination):
         analytic_sinr(Scheme.CLASSICAL, 1.0, 2, (5, 5))
+    with pytest.raises(UnsupportedCombination):
+        analytic_sinr(Scheme.IR_OMA, 1.0, 2, (5, 5))
 
 
 # ------------------------------------------------- amplitude-level verification
