@@ -167,6 +167,9 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
         if m["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {m['seed']!r}")
+        # the oracle builds a sequence of T per-slot user counts
+        if m["T"] > sys.maxsize:
+            raise ConfigError(f"T is too large for validate: at most {sys.maxsize} slots")
         # the oracle runs users_per_slot transmissions in each of the T slots
         try:
             m["J"] = float(m["T"] * m["users_per_slot"])

@@ -64,10 +64,18 @@ def _db(ebn0: float) -> float:
 
 
 def _metrics(se: float, ebn0: float) -> Metrics:
-    # every Metrics is built here, so no evaluation publishes an inf or a NaN
+    # every Metrics is built here, so no evaluation publishes an inf or a NaN.
+    # Filling the instance dict skips the frozen __init__ (an
+    # object.__setattr__ per field); ==, hash and repr read the same fields.
     if not math.isfinite(se):
         raise DegenerateRate(f"the spectral efficiency is not finite ({se!r}): {_TOO_LARGE}")
-    return Metrics(se, ebn0, _db(ebn0))
+    db = _db(ebn0)
+    metrics = object.__new__(Metrics)
+    attrs = metrics.__dict__
+    attrs["se"] = se
+    attrs["ebn0_linear"] = ebn0
+    attrs["ebn0_db"] = db
+    return metrics
 
 
 @dataclass(frozen=True)

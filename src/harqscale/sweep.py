@@ -90,7 +90,14 @@ def _sweep(
         except (HarqScaleError, ValueError):
             skipped += 1
             continue
-        points.append(CurvePoint(metrics.ebn0_db, y_of(metrics), value, metrics.ebn0_linear))
+        # built like the point's params, without the frozen __init__
+        record = object.__new__(CurvePoint)
+        attrs = record.__dict__
+        attrs["x_ebn0_db"] = metrics.ebn0_db
+        attrs["y"] = y_of(metrics)
+        attrs["rho"] = value
+        attrs["ebn0_linear"] = metrics.ebn0_linear
+        points.append(record)
     if not points:
         raise EmptyCurve(f"every {sweep_var} grid point errored ({skipped} skipped)")
     return Curve(scheme, regime, params, sweep_var, tuple(points), grid, skipped)

@@ -5,7 +5,10 @@ digits at most, never fewer than the shortest exact form), so re-parsing a
 table reproduces every value bit-for-bit.  Output is locale-independent:
 '.' decimal separator, '\\n' line ends, keys sorted in JSON.  The JSON text is
 exactly ``json.dumps(doc, sort_keys=True, indent=2)`` of the curve's document,
-but written from a fixed per-point template rather than by that call.
+but written from a fixed per-point template rather than by that call.  Each
+point's floats are formatted once per curve and shared by both writers, so
+writing a curve to CSV and then to JSON (or the reverse, or twice) formats
+them once; every byte of either output is what formatting them anew gives.
 """
 
 from __future__ import annotations
@@ -17,22 +20,32 @@ from .sweep import Curve
 
 CSV_HEADER = "sweep_var,rho_or_J,ebn0_db,ebn0_linear,se_or_density"
 
+# json.dumps writes the three non-finite float reprs as these
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _point_reprs(curve: Curve) -> list[str]:
+    """``repr`` of each point's rho, ebn0_db, ebn0_linear and y, flat, in that order.
+
+    Formatted on first use and kept in the curve's instance dict, which the
+    dataclass's ==, repr, hash, asdict and replace never read.  The curve and
+    its points are frozen, so the list cannot go stale.
+    """
+    reprs = curve.__dict__.get("_point_reprs")
+    if reprs is None:
+        reprs = [
+            f"{v!r}" for p in curve.points for v in (p.rho, p.x_ebn0_db, p.ebn0_linear, p.y)
+        ]
+        curve.__dict__["_point_reprs"] = reprs
+    return reprs
+
 
 def curve_to_csv(curve: Curve) -> str:
+    sweep_var = curve.sweep_var
+    it = iter(_point_reprs(curve))
     lines = [CSV_HEADER]
-    for p in curve.points:
-        lines.append(
-            f"{curve.sweep_var},{p.rho!r},{p.x_ebn0_db!r},{p.ebn0_linear!r},{p.y!r}"
-        )
+    lines += [f"{sweep_var},{r},{db},{lin},{y}" for r, db, lin, y in zip(it, it, it, it)]
     return "\n".join(lines) + "\n"
-
-
-# One point of the "points" list, keys in sorted order, at the depth and
-# indent json.dumps(..., sort_keys=True, indent=2) gives it.
-_POINT = (
-    '    {{\n      "ebn0_db": {},\n      "ebn0_linear": {},\n'
-    '      "rho": {},\n      "y": {}\n    }}'
-)
 
 
 def _json_list(items: list[str]) -> str:
@@ -66,10 +79,15 @@ def curve_to_json(curve: Curve, version: str) -> str:
         "version": version,
     }
     grid = ["    " + g for g in _json_numbers(list(curve.grid))]
-    numbers = _json_numbers(
-        [v for p in curve.points for v in (p.x_ebn0_db, p.ebn0_linear, p.rho, p.y)]
-    )
-    points = [_POINT.format(*numbers[i:i + 4]) for i in range(0, len(numbers), 4)]
+    reprs = _point_reprs(curve)
+    it = map(_JSON_NON_FINITE.get, reprs, reprs)
+    # one point of the "points" list, keys in sorted order, at the depth and
+    # indent json.dumps(..., sort_keys=True, indent=2) gives it
+    points = [
+        f'    {{\n      "ebn0_db": {db},\n      "ebn0_linear": {lin},\n'
+        f'      "rho": {r},\n      "y": {y}\n    }}'
+        for r, db, lin, y in zip(it, it, it, it)
+    ]
     return (
         '{\n  "grid": ' + _json_list(grid)
         + ',\n  "meta": ' + json.dumps(meta, sort_keys=True, indent=2).replace("\n", "\n  ")

@@ -333,7 +333,9 @@ def test_limits_never_print_inf_or_a_math_domain_error(argv, needle, capsys):
     ["point", "--T", str(10**400)],
     ["point", "--B", str(10**400)],
     ["validate", "--T", str(10**400)],
-], ids=["point-T", "point-B", "validate-T"])
+    # inside float range, but no sequence has 10**300 slots
+    ["validate", "--T", str(10**300)],
+], ids=["point-T", "point-B", "validate-T", "validate-T-beyond-index"])
 def test_integer_beyond_float_range_exits_2_naming_it(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@
 SNR-per-bit extraction, and sum/TIN curve crossings."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from harqscale import (
     EmptyCurve,
     GridMismatch,
     HarqScaleError,
+    Metrics,
     Regime,
     Scheme,
     SchemeParams,
@@ -222,6 +223,37 @@ def test_sweep_lets_errors_other_than_value_errors_escape(monkeypatch):
     assert len(se_curve(Scheme.CC_NOMA, Regime.TIN, p, (0.25, 1.0)).points) == 2
     with pytest.raises(ZeroDivisionError):
         se_curve(Scheme.CC_NOMA, Regime.TIN, p, (0.25, 0.5, 1.0))
+
+
+# ------------------------------------------- records built without __init__
+
+
+def assert_same_as_constructed(record):
+    """The record equals, prints and hashes as its dataclass constructor's
+    record of the same values, holds exactly the declared fields, and
+    refuses assignment to each of them."""
+    cls = type(record)
+    names = [f.name for f in fields(cls)]
+    assert list(vars(record)) == names
+    built = cls(*(getattr(record, name) for name in names))
+    assert record == built and repr(record) == repr(built) and hash(record) == hash(built)
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 1.0)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_records_from_evaluate_and_both_sweeps_match_their_constructors(scheme, regime):
+    p = SchemeParams(rho=1.0, T=2, J=10.0, eta=0.3, c_buf=10.0)
+    metrics = evaluate(scheme, regime, p)
+    assert type(metrics) is Metrics
+    assert_same_as_constructed(metrics)
+    se = se_curve(scheme, regime, p, make_grid(0.0, 10.0, 8, "linear"))
+    density = density_curve(scheme, regime, p, make_grid(1.0, 1e3, 8))
+    for point in se.points + density.points:
+        assert type(point) is CurvePoint
+        assert_same_as_constructed(point)
 
 
 # -------------------------------------------------------------------- min ebn0
