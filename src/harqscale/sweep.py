@@ -95,7 +95,7 @@ def _sweep(
         attrs = record.__dict__
         attrs["x_ebn0_db"] = metrics.ebn0_db
         attrs["y"] = y_of(metrics)
-        attrs["rho"] = value
+        attrs["rho"] = value  # the grid's own object: curve_to_json reuses its repr
         attrs["ebn0_linear"] = metrics.ebn0_linear
         points.append(record)
     if not points:

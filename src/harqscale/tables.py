@@ -8,7 +8,9 @@ exactly ``json.dumps(doc, sort_keys=True, indent=2)`` of the curve's document,
 but written from a fixed per-point template rather than by that call.  Each
 point's floats are formatted once per curve and shared by both writers, so
 writing a curve to CSV and then to JSON (or the reverse, or twice) formats
-them once; every byte of either output is what formatting them anew gives.
+them once; JSON's grid reuses the rho of each point a grid value produced and
+formats only the skipped values.  Every byte of either output is what
+formatting them anew gives.
 """
 
 from __future__ import annotations
@@ -63,6 +65,31 @@ def _json_numbers(values: list[float]) -> list[str]:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
+def _json_grid(curve: Curve, rho_numbers: list[str]) -> list[str]:
+    """Each grid value as json writes it, given the points' rho as json writes them.
+
+    Grid and points are walked together: a grid value that produced a point
+    is the point's own ``rho`` object (``_sweep`` stores it), so its number is
+    the point's, formatted once.  ``is``, not ``==``: one object has one repr,
+    while 0.0 == -0.0.  The other grid values (skipped ones, or any in a
+    curve not built by ``_sweep``) are formatted here, in one json call.
+    """
+    numbers: list = []
+    skipped: list[int] = []
+    pairs = zip([p.rho for p in curve.points], rho_numbers)
+    rho, number = next(pairs, (None, None))
+    for g in curve.grid:
+        if g is rho:
+            numbers.append(number)
+            rho, number = next(pairs, (None, None))
+        else:
+            skipped.append(len(numbers))
+            numbers.append(g)
+    for k, text in zip(skipped, _json_numbers([numbers[k] for k in skipped])):
+        numbers[k] = text
+    return numbers
+
+
 def curve_to_json(curve: Curve, version: str) -> str:
     """The curve as ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``.
 
@@ -78,9 +105,10 @@ def curve_to_json(curve: Curve, version: str) -> str:
         "skipped": curve.skipped,
         "version": version,
     }
-    grid = ["    " + g for g in _json_numbers(list(curve.grid))]
     reprs = _point_reprs(curve)
-    it = map(_JSON_NON_FINITE.get, reprs, reprs)
+    numbers = list(map(_JSON_NON_FINITE.get, reprs, reprs))
+    grid = ["    " + g for g in _json_grid(curve, numbers[0::4])]
+    it = iter(numbers)
     # one point of the "points" list, keys in sorted order, at the depth and
     # indent json.dumps(..., sort_keys=True, indent=2) gives it
     points = [

@@ -1,6 +1,7 @@
 """Link-level Monte-Carlo tests: the signature construction, the SINR kernel
 against the received-signal model written out in full, SINR estimates against
-the closed forms, determinism, and the amplitude-level noise-expansion check."""
+the closed forms, determinism, and the amplitude-level noise-expansion check
+against the absolute-phase model written out in full."""
 
 import math
 import sys
@@ -22,7 +23,7 @@ from harqscale import (
     simulate_cc_noma_sinr,
     verify_cc_oma_noise_expansion,
 )
-from harqscale.simulate import _BLOCK, _CHUNK_BYTES
+from harqscale.simulate import _BLOCK, _CHUNK_BYTES, _relative_phase_power
 
 # seed pinned for the oracle-agreement grid: every cell lands within its own
 # 95% half-width and within 5% relative error (worst cell 3.5%)
@@ -355,8 +356,79 @@ def test_noise_expansion_exact_corner_cases():
     # expansion is an identity, so the sampled error is at float precision
     assert verify_cc_oma_noise_expansion(1.0, (2,), 1.0, 16, seed=0) < 1e-12
     assert verify_cc_oma_noise_expansion(1.0, (1, 1), 1.0, 16, seed=0) < 1e-12
+    # no phasor is drawn at all, so the sampled power is the noise term itself
+    assert verify_cc_oma_noise_expansion(1.0, (1, 1, 1), 1.0, 1000, seed=0) == 0.0
+    # a per-slot amplitude and a small noise term: every phasor has modulus 1
+    # to float64 precision, where float32 cos/sin alone are ~1e-7 off
+    assert verify_cc_oma_noise_expansion((0.5,), (2,), 1e-3, 1000, seed=0) < 1e-12
 
 
 def test_noise_expansion_per_slot_amplitudes():
     err = verify_cc_oma_noise_expansion((1.0, 2.0), (4, 3), 0.5, 20_000, seed=3)
     assert err < 0.05
+
+
+def absolute_phase_cross_power(amps, counts, trials: int, rng) -> np.ndarray:
+    """Per-trial cross-term power of the absolute-phase model, written out:
+    in slot t the desired user has its own phase theta_t and each interferer
+    its own phase phi_tk, and the cross term is
+    sum_t a_t**2 exp(i theta_t) sum_k exp(-i phi_tk), in float64 ``exp``."""
+    cross = np.zeros(trials, dtype=complex)
+    for a, c in zip(amps, counts):
+        own = rng.uniform(0.0, 2.0 * math.pi, trials)
+        others = rng.uniform(0.0, 2.0 * math.pi, (trials, c - 1))
+        cross += a * np.exp(1j * own) * (a * np.exp(-1j * others)).sum(axis=1)
+    return cross.real**2 + cross.imag**2
+
+
+def relative_phase_cross_power(weights, trials: int, seed: int) -> np.ndarray:
+    """The same power from the relative-phase sampler's stream, formed with
+    float64 ``exp``: the float32 phases it draws, in trial order, each a
+    unit phasor carrying its weight."""
+    psi = np.random.default_rng(seed).random((trials, len(weights)), dtype=np.float32)
+    cross = np.exp(1j * (psi * np.float32(2.0 * math.pi)).astype(float)) @ np.asarray(weights)
+    return cross.real**2 + cross.imag**2
+
+
+@pytest.mark.parametrize("amps, counts", [
+    (1.0, (5, 5)), ((1.0, 2.0), (4, 3)), (0.3, (2, 3, 4)),
+])
+def test_relative_phases_sample_the_absolute_phase_model(amps, counts):
+    # the sampled mean of the cross-term power under the two phase laws, at
+    # seeds fixed before the first run, within 4 combined standard errors
+    trials = 20_000
+    amps = np.broadcast_to(np.asarray(amps, dtype=float), (len(counts),))
+    weights = np.repeat(amps * amps, np.array(counts) - 1)
+    new = _relative_phase_power(weights, trials, 5)
+    old = absolute_phase_cross_power(amps, counts, trials, np.random.default_rng(6))
+    se = math.sqrt(new.var(ddof=1) / trials + old.var(ddof=1) / trials)
+    assert abs(new.mean() - old.mean()) <= 4.0 * se
+
+
+def test_relative_phase_power_fills_every_trial_across_chunks():
+    # one trial more than a chunk holds: the last chunk is one row long, and
+    # every row is the phasor sum of its own slice of the stream
+    weights = np.array([1.0, 0.25, 0.25, 4.0, 4.0])
+    rows = _CHUNK_BYTES // (16 * weights.size)
+    power = _relative_phase_power(weights, rows + 1, 7)
+    want = relative_phase_cross_power(weights, rows + 1, 7)
+    assert power.shape == (rows + 1,)
+    assert np.allclose(power, want, rtol=0.0, atol=1e-6 * weights.sum() ** 2)
+
+
+@pytest.mark.parametrize("amps, counts", [(1.0, (1, 3)), ((0.5, 2.0, 1.5), (3, 1, 2))])
+def test_noise_expansion_with_single_user_slots(amps, counts):
+    # a slot without interferers adds no phasor; the others keep their weights
+    amps = np.broadcast_to(np.asarray(amps, dtype=float), (len(counts),))
+    weights = np.repeat(amps * amps, np.array(counts) - 1)
+    assert weights.size == sum(counts) - len(counts)
+    power = _relative_phase_power(weights, 3000, 8)
+    want = relative_phase_cross_power(weights, 3000, 8)
+    assert np.allclose(power, want, rtol=0.0, atol=1e-6 * weights.sum() ** 2)
+    assert verify_cc_oma_noise_expansion(tuple(amps), counts, 1.0, 20_000, seed=8) < 0.05
+
+
+def test_noise_expansion_is_seed_deterministic():
+    a = verify_cc_oma_noise_expansion((1.0, 2.0), (4, 3), 0.5, 5000, seed=11)
+    assert a == verify_cc_oma_noise_expansion((1.0, 2.0), (4, 3), 0.5, 5000, seed=11)
+    assert a != verify_cc_oma_noise_expansion((1.0, 2.0), (4, 3), 0.5, 5000, seed=12)

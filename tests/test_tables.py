@@ -152,3 +152,12 @@ def test_a_replaced_curve_is_formatted_from_its_own_points():
     other = replace(curve, points=curve.points[::2])
     assert curve_to_csv(other) == reference_csv(other)
     assert curve_to_json(other, VERSION) == reference_json(other, VERSION)
+
+
+def test_json_grid_takes_a_point_rho_only_from_that_grid_value():
+    # equal is not enough: 0.0 == -0.0 and 1 == 1.0, but their reprs differ
+    points = (CurvePoint(0.0, 1.0, -0.0, 1.0), CurvePoint(0.5, 2.0, 1.0, 2.0))
+    curve = Curve(Scheme.CLASSICAL, Regime.TIN, SchemeParams(), "rho", points, (0.0, 1, 2.5), 1)
+    text = curve_to_json(curve, VERSION)
+    assert text == reference_json(curve, VERSION)
+    assert '"grid": [\n    0.0,\n    1,\n    2.5\n  ]' in text
