@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 from . import __getattr__, __version__  # the simulator's names load on first use
@@ -39,33 +39,29 @@ from .sweep import density_curve, make_grid, se_curve
 from .tables import curve_to_csv, curve_to_json
 
 OUT_DIR_ENV = "HARQSCALE_OUT_DIR"
+# validate's bound on T * trials: with T <= T_MAX it runs in under about a second
+VALIDATE_MAX_TRIAL_SLOTS = 1_000_000
 
 _CURVES = ("curve", "density")
 _CLOSED_FORM = ("point", *_CURVES, "limits")
 _ALL = (*_CLOSED_FORM, "validate")
 
 
-@dataclass(frozen=True)
-class Option:
-    """One flag and config key: ``--grid-min`` on the command line is
-    ``grid_min`` in a config file."""
+# One flag and config key: ``--grid-min`` is ``grid_min`` in a config file
+Option = namedtuple("Option", "type default commands choices metavar",
+                    defaults=(_ALL, None, None))
 
-    type: type
-    default: object
-    commands: tuple[str, ...] = _ALL
-    choices: tuple[str, ...] | None = None
-    metavar: str | None = None
-
-
-# The SchemeParams fields become options named, typed and defaulted as
-# declared there; the run-only options are listed here once.
+# The SchemeParams fields, in declaration order, become options named, typed
+# and defaulted as a default SchemeParams has them; the run-only options are
+# listed here once.
+_PARAM_DEFAULTS = vars(SchemeParams())
 OPTIONS = {
     "scheme": Option(str, "classical", _CLOSED_FORM, tuple(s.value for s in Scheme)),
     "regime": Option(str, "sum", _CLOSED_FORM, tuple(r.value for r in Regime)),
     # validate's oracle reads rho, T, eta and sigma2, and sets J = T * users_per_slot
-    **{f.name: Option(type(f.default), f.default,
-                      _ALL if f.name in ("rho", "T", "eta", "sigma2") else _CLOSED_FORM)
-       for f in fields(SchemeParams)},
+    **{name: Option(type(default), default,
+                    _ALL if name in ("rho", "T", "eta", "sigma2") else _CLOSED_FORM)
+       for name, default in _PARAM_DEFAULTS.items()},
     "output": Option(str, None, metavar="PATH"),
     "format": Option(str, "csv", ("point", *_CURVES), ("csv", "json")),
     "workers": Option(int, 1, ("validate",)),
@@ -85,13 +81,8 @@ OPTIONS = {
 _VALIDATE_DEFAULTS = {"eta": 0.1, "T": 2}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scheme: Scheme
-    regime: Regime
-    params: SchemeParams
-    options: dict[str, object]  # every run-only option by name, merged
+# options: every run-only option by name, merged
+RunConfig = namedtuple("RunConfig", "command scheme regime params options")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,9 +158,10 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
         if m["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {m['seed']!r}")
-        # the oracle builds a sequence of T per-slot user counts
-        if m["T"] > sys.maxsize:
-            raise ConfigError(f"T is too large for validate: at most {sys.maxsize} slots")
+        # the oracle's noise draws and per-trial powers grow with T * trials
+        if m["T"] * m["trials"] > VALIDATE_MAX_TRIAL_SLOTS:
+            raise ConfigError(f"T * trials must be <= {VALIDATE_MAX_TRIAL_SLOTS}, "
+                              f"got {m['T']} * {m['trials']}")
         # the oracle runs users_per_slot transmissions in each of the T slots
         try:
             m["J"] = float(m["T"] * m["users_per_slot"])
@@ -179,7 +171,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         # density sweeps J: keep the unused base value compatible with T
         m["J"] = float(m["T"])
     try:
-        params = SchemeParams(**{f.name: m.pop(f.name) for f in fields(SchemeParams)})
+        params = SchemeParams(**{name: m.pop(name) for name in _PARAM_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # make_grid checks the bounds; only a curve needs a second point

@@ -26,6 +26,11 @@ class Regime(Enum):
     TIN = "tin"
 
 
+# IR-OMA adds its T slot rates one by one and validate's oracle sets up T slots;
+# this bound keeps both well under a second
+T_MAX = 10_000
+
+
 def check_rho(rho: float) -> None:
     """The rule for ``rho``: finite and >= 0 (``SchemeParams`` and rho sweeps)."""
     if not 0 <= rho < math.inf:
@@ -43,7 +48,7 @@ class SchemeParams:
     """Common parameters for all access schemes.
 
     rho     per-user received SNR per transmission attempt (linear)
-    T       number of (re)transmission attempts per frame
+    T       number of (re)transmission attempts per frame, 1..T_MAX
     J       total user count (real, >= T)
     eta     non-orthogonality factor in [0, 1]
     sigma2  noise power per dimension (linear)
@@ -79,8 +84,8 @@ class SchemeParams:
         check_rho(self.rho)
         if not 0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T!r}")
+        if not 1 <= self.T <= T_MAX:
+            raise ValueError(f"T must be in 1..{T_MAX}, got {self.T!r}")
         check_J(self.J, self.T)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")

@@ -14,8 +14,8 @@ base rather than validated again field by field.  numpy is imported by
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .closedform import Metrics, evaluate
 from .errors import EmptyCurve, GridMismatch, HarqScaleError

@@ -16,7 +16,6 @@ formatting them anew gives.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from .sweep import Curve
 
@@ -101,7 +100,7 @@ def curve_to_json(curve: Curve, version: str) -> str:
     meta = {
         "scheme": curve.scheme.value,
         "regime": curve.regime.value,
-        "params": asdict(curve.params),
+        "params": vars(curve.params),
         "skipped": curve.skipped,
         "version": version,
     }

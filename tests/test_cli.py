@@ -343,6 +343,39 @@ def test_integer_beyond_float_range_exits_2_naming_it(argv, capsys):
     assert captured.err.startswith(f"error: {argv[1][2:]} ") and captured.err.count("\n") == 1
 
 
+def test_every_scheme_param_is_an_option_with_its_default_and_type():
+    default = SchemeParams()
+    for f in fields(SchemeParams):
+        value = getattr(default, f.name)
+        opt = harqscale.cli.OPTIONS[f.name]
+        assert opt.default == value and opt.type is type(value), f.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--scheme", "ir-oma", "--regime", "tin", "--T", "10000000000", "--J", "1e10"],
+    ["validate", "--T", str(2**62)],
+    ["validate", "--T", "100000000", "--trials", "10"],
+], ids=["point-ir-oma-tin", "validate-T-2**62", "validate-T-1e8"])
+def test_t_beyond_its_bounds_exits_2_before_any_work(argv):
+    # in a child with a deadline: unbounded, these run for hours or run out of memory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH", "")]))}
+    proc = subprocess.run([sys.executable, "-m", "harqscale.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: T ") and proc.stderr.count("\n") == 1
+
+
+def test_validate_work_is_bounded_by_t_times_trials(capsys):
+    assert main(["validate", "--T", "1", "--trials", "1000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: T * trials must be <= 1000000, got 1 * 1000001\n"
+    # T and T * trials at their bounds are accepted (an amplitude check is the cheaper one)
+    assert main(["validate", "--mode", "amplitude", "--T", "10000", "--trials", "100"]) in (0, 3)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("regime", ["sum", "tin"])
 def test_tiny_ir_buffer_exits_2_naming_c_buf(regime, capsys):
     # 2**(2*c_buf/(h*B)) rounds to 1, so the refinement noise would divide by 0

@@ -7,6 +7,7 @@ re-imports the script live so the two can never drift silently.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from harqscale import (
     qinv,
     total_power,
 )
+from harqscale.params import T_MAX
 
 LN2 = math.log(2.0)
 
@@ -505,6 +507,18 @@ def test_qinv_round_trips_through_tail_probability():
 def test_invalid_parameters_name_the_offender(kwargs, needle):
     with pytest.raises(ValueError, match=needle):
         SchemeParams(**kwargs)
+
+
+def test_t_is_bounded_and_ir_oma_tin_at_the_bound_is_quick():
+    assert SchemeParams(T=T_MAX, J=float(T_MAX)).T == T_MAX
+    with pytest.raises(ValueError, match=r"^T must be in 1\.\.10000, got 10001$"):
+        SchemeParams(T=T_MAX + 1, J=float(T_MAX + 1))
+    # IR-OMA adds the T slot rates one by one
+    p = SchemeParams(rho=1.0, T=T_MAX, J=float(T_MAX))
+    start = time.perf_counter()
+    m = evaluate(Scheme.IR_OMA, Regime.TIN, p)
+    assert time.perf_counter() - start < 0.5
+    assert math.isfinite(m.se) and math.isfinite(m.ebn0_linear)
 
 
 def test_infinite_buffer_stays_valid_and_finite():
