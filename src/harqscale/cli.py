@@ -39,8 +39,12 @@ from .sweep import density_curve, make_grid, se_curve
 from .tables import curve_to_csv, curve_to_json
 
 OUT_DIR_ENV = "HARQSCALE_OUT_DIR"
-# validate's bound on T * trials: with T <= T_MAX it runs in under about a second
-VALIDATE_MAX_TRIAL_SLOTS = 1_000_000
+# validate's size bounds, each checked before anything is allocated: the
+# T * trials noise draws and residual powers, the J = T * users_per_slot
+# phases of one amplitude-mode trial and J * trials in all, and m, the length
+# of the users_per_slot x m signature array
+VALIDATE_BOUNDS = {"T * trials": 10**6, "T * users_per_slot": 10**5,
+                   "T * users_per_slot * trials": 10**7, "m": 1024}
 
 _CURVES = ("curve", "density")
 _CLOSED_FORM = ("point", *_CURVES, "limits")
@@ -158,15 +162,13 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
         if m["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {m['seed']!r}")
-        # the oracle's noise draws and per-trial powers grow with T * trials
-        if m["T"] * m["trials"] > VALIDATE_MAX_TRIAL_SLOTS:
-            raise ConfigError(f"T * trials must be <= {VALIDATE_MAX_TRIAL_SLOTS}, "
-                              f"got {m['T']} * {m['trials']}")
+        for names, bound in VALIDATE_BOUNDS.items():
+            factors = [m[name] for name in names.split(" * ")]
+            if math.prod(factors) > bound:
+                raise ConfigError(f"{names} must be <= {bound}, "
+                                  f"got {' * '.join(map(str, factors))}")
         # the oracle runs users_per_slot transmissions in each of the T slots
-        try:
-            m["J"] = float(m["T"] * m["users_per_slot"])
-        except OverflowError:
-            raise ConfigError("T * users_per_slot is too large for float arithmetic") from None
+        m["J"] = float(m["T"] * m["users_per_slot"])
     elif ns.command == "density" and m["J"] < m["T"]:
         # density sweeps J: keep the unused base value compatible with T
         m["J"] = float(m["T"])

@@ -17,11 +17,11 @@ scheme (the per-frame sums are divided by T), so all curves share one axis and
 its extra factor T from the per-attempt energy accounting).
 
 Floating-point note: the T=1 collapse of classical / CC-OMA / IR-OMA is an
-*exact* identity and the test suite checks it bit-for-bit, so the SINRs of
-:func:`combined_sinr` and :func:`_ir_oma` are written in matching shapes
-(same operand order) and all but IR-OMA's go through the one accounting per
-regime in :func:`evaluate` (TIN energy ratio in the reduced form
-``T*sigma2*rho / log2(1+sinr)``).  Keep that alignment when editing.
+*exact* identity and the test suite checks it bit-for-bit, so the SINR forms
+and IR-OMA's slot SINRs are written in matching shapes (same operand order),
+and :func:`rate_function` applies one accounting per regime to the first
+(TIN energy ratio in the reduced form ``T*sigma2*rho / log2(1+sinr)``).  Keep
+that alignment when editing.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ class Metrics:
 
 
 _TOO_LARGE = "rho, J, sigma2 or c_buf is too large for float arithmetic"
+_SINR_OVERFLOW = "the SINR overflows: J = {!r} or T = {!r} is too large for float arithmetic"
+_RHO_ZERO = ("rho = 0 makes the energy-per-bit ratio 0/0; "
+             "use harqscale.limits for the limiting values")
 
 
 def _db(ebn0: float) -> float:
@@ -63,18 +66,20 @@ def _db(ebn0: float) -> float:
     return 10.0 * math.log10(ebn0)
 
 
-def _metrics(se: float, ebn0: float) -> Metrics:
-    # every Metrics is built here, so no evaluation publishes an inf or a NaN.
-    # Filling the instance dict skips the frozen __init__ (an
-    # object.__setattr__ per field); ==, hash and repr read the same fields.
+def checked_db(se: float, ebn0: float) -> float:
+    # every rate function's output (each Metrics, each sweep point) is checked
+    # here and gets its dB value, so no evaluation publishes an inf or a NaN
     if not math.isfinite(se):
         raise DegenerateRate(f"the spectral efficiency is not finite ({se!r}): {_TOO_LARGE}")
-    db = _db(ebn0)
+    return _db(ebn0)
+
+
+def _metrics(se: float, ebn0: float) -> Metrics:
+    # Filling the instance dict skips the frozen __init__ (an
+    # object.__setattr__ per field); ==, hash and repr read the same fields.
+    db = checked_db(se, ebn0)
     metrics = object.__new__(Metrics)
-    attrs = metrics.__dict__
-    attrs["se"] = se
-    attrs["ebn0_linear"] = ebn0
-    attrs["ebn0_db"] = db
+    metrics.__dict__.update(se=se, ebn0_linear=ebn0, ebn0_db=db)
     return metrics
 
 
@@ -95,11 +100,30 @@ def total_power(params: SchemeParams) -> float:
     return params.J * params.sigma2 * params.rho
 
 
+def _sinr_form(scheme: Scheme, regime: Regime, T: int, eta: float):
+    # The combined-channel SINR as a function of (rho, J), the one place each
+    # form is written; a squared term that overflows raises OverflowError.
+    if regime is Regime.SUM_OPTIMAL:
+        if scheme is Scheme.CLASSICAL:
+            return lambda rho, J: rho * J / T
+        if scheme is Scheme.CC_NOMA:
+            return lambda rho, J: rho * T * (1.0 + eta**2 * (J / T - 1.0) ** 2)
+        if scheme is Scheme.CC_OMA:
+            return lambda rho, J: rho * T * (1.0 + (1.0 / T) * (J / T - 1.0))
+    elif scheme is Scheme.CLASSICAL:
+        return lambda rho, J: rho / (rho * (J / T - 1.0) + 1.0)
+    elif scheme is Scheme.CC_NOMA:
+        return lambda rho, J: rho * T**2 / (T + rho * eta**2 * (J - T) ** 2)
+    elif scheme is Scheme.CC_OMA:
+        return lambda rho, J: rho * T / (rho * (J / T - 1.0) + 1.0)
+    raise UnsupportedCombination(f"no combined-channel SINR form for {scheme.value}")
+
+
 def combined_sinr(
     scheme: Scheme, regime: Regime, rho: float, T: int, J: float, eta: float
 ) -> float:
     """Combined-channel SINR of classical, CC-NOMA and CC-OMA, J transmissions
-    over T slots, the one place each form is written.
+    over T slots.
 
     CC-NOMA's J - T interferers add coherently (the squared term in eta);
     CC-OMA leaks only through the shared slot budget (eta unused).  The
@@ -107,26 +131,33 @@ def combined_sinr(
     slope that sets the SNR-per-bit floor.  An SINR that overflows raises
     DegenerateRate; IR-OMA raises UnsupportedCombination.
     """
+    sinr = _sinr_form(scheme, regime, T, eta)
     try:
-        if regime is Regime.SUM_OPTIMAL:
-            if scheme is Scheme.CLASSICAL:
-                return rho * J / T
-            if scheme is Scheme.CC_NOMA:
-                return rho * T * (1.0 + eta**2 * (J / T - 1.0) ** 2)
-            if scheme is Scheme.CC_OMA:
-                return rho * T * (1.0 + (1.0 / T) * (J / T - 1.0))
-        elif scheme is Scheme.CLASSICAL:
-            return rho / (rho * (J / T - 1.0) + 1.0)
-        elif scheme is Scheme.CC_NOMA:
-            return rho * T**2 / (T + rho * eta**2 * (J - T) ** 2)
-        elif scheme is Scheme.CC_OMA:
-            return rho * T / (rho * (J / T - 1.0) + 1.0)
+        return sinr(rho, J)
     except OverflowError as exc:
-        raise DegenerateRate(
-            f"the SINR overflows: J = {J!r} or T = {T!r} "
-            f"is too large for float arithmetic"
-        ) from exc
-    raise UnsupportedCombination(f"no combined-channel SINR form for {scheme.value}")
+        raise DegenerateRate(_SINR_OVERFLOW.format(J, T)) from exc
+
+
+def _ir_quant_form(regime: Regime, p: SchemeParams, horizon: int):
+    # ir_quant_noise's value as a function of (rho, J), clamped at 0 in TIN;
+    # a growth that rounds to 0 raises at each call, not here
+    try:
+        grow = 2.0 ** (2.0 * p.c_buf / (horizon * p.B)) - 1.0
+    except OverflowError:
+        grow = math.inf
+    B, sigma2 = p.B, p.sigma2
+    if grow == 0.0:
+        def too_small(rho: float, J: float) -> float:
+            raise DegenerateRate(f"c_buf = {p.c_buf!r} is too small for float arithmetic: "
+                                 "the buffer growth 2**(2*c_buf/(horizon*B)) - 1 rounds to 0")
+        return too_small
+    if regime is Regime.SUM_OPTIMAL:
+        return lambda rho, J: B * (J * rho / B + 1.0) * sigma2 / grow
+
+    def tin(rho: float, J: float) -> float:
+        value = B * (rho / B + 1.0) * sigma2 / grow - (J / horizon - 1.0) * rho * sigma2
+        return 0.0 if value <= 0.0 else value
+    return tin
 
 
 def ir_quant_noise(
@@ -152,24 +183,9 @@ def ir_quant_noise(
         raise InvalidSlot(f"slot t={t!r} outside 1..{p.T}")
     if t == p.T:
         return QuantNoise(0.0, False)
-    try:
-        grow = 2.0 ** (2.0 * p.c_buf / (horizon * p.B)) - 1.0
-    except OverflowError:
-        grow = math.inf
-    if grow == 0.0:
-        raise DegenerateRate(
-            f"c_buf = {p.c_buf!r} is too small for float arithmetic: "
-            f"the buffer growth 2**(2*c_buf/(horizon*B)) - 1 rounds to 0"
-        )
-    if regime is Regime.SUM_OPTIMAL:
-        return QuantNoise(p.B * (p.J * p.rho / p.B + 1.0) * p.sigma2 / grow, False)
-    value = (
-        p.B * (p.rho / p.B + 1.0) * p.sigma2 / grow
-        - (p.J / horizon - 1.0) * p.rho * p.sigma2
-    )
-    if value <= 0.0:
-        return QuantNoise(0.0, True)
-    return QuantNoise(value, False)
+    value = _ir_quant_form(regime, p, horizon)(p.rho, p.J)
+    # the TIN form returns 0.0 exactly when it clamps
+    return QuantNoise(value, regime is Regime.TIN and value == 0.0)
 
 
 def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float:
@@ -183,59 +199,72 @@ def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float
     return (p.B / 2.0) * _log2(1.0 + (p.J * p.rho + p.B) * p.sigma2 / sigma_q2)
 
 
-def _ir_slot_sinr(p: SchemeParams, regime: Regime, q: float) -> float:
-    if regime is Regime.SUM_OPTIMAL:
-        return (p.rho * p.J / p.B) / (1.0 + q / (p.B * p.sigma2))
-    den = p.rho * (p.J / p.T - 1.0) / p.B + 1.0 + q / (p.B * p.sigma2)
-    return (p.rho / p.B) / den
-
-
-def _ir_oma(p: SchemeParams, regime: Regime) -> Metrics:
+def _ir_oma_rate(regime: Regime, p: SchemeParams):
     """Incremental redundancy over T orthogonal attempts.
 
-    Every slot t < T sees the same refinement quantization noise on top of
+    Every slot t < T sees the same refinement quantization noise q on top of
     the channel noise; the final slot is conventional.  The slot rates are
     added one by one in slot order and normalized to rdof (divide by T).
     """
-    q = ir_quant_noise(p, regime, 1, p.T - 1).value  # 0.0 when T = 1
-    refine = _log2(1.0 + _ir_slot_sinr(p, regime, q))
-    final = _log2(1.0 + _ir_slot_sinr(p, regime, 0.0))
-    bits_total = 0.0
-    for _ in range(p.T - 1):
-        bits_total += refine
-    bits_total += final
-    if regime is Regime.SUM_OPTIMAL:
-        se = (p.B / (2.0 * p.T)) * bits_total
-        return _metrics(se, p.J * p.sigma2 * p.rho / ((p.B / p.T) * bits_total))
-    se = (p.J * p.B / (2.0 * p.T * p.T)) * bits_total
-    return _metrics(se, p.T * p.sigma2 * p.rho / ((p.B / p.T) * bits_total))
+    T, B, sigma2 = p.T, p.B, p.sigma2
+    tin = regime is Regime.TIN
+    slot_sinr = (  # of (rho, J, q), with q the slot's quantization noise
+        (lambda rho, J, q: (rho / B) / (rho * (J / T - 1.0) / B + 1.0 + q / (B * sigma2)))
+        if tin else (lambda rho, J, q: (rho * J / B) / (1.0 + q / (B * sigma2)))
+    )
+    # at T = 1 the one slot is the final one
+    quant = _ir_quant_form(regime, p, T - 1) if T > 1 else lambda rho, J: 0.0
+
+    def rate(rho: float, J: float) -> tuple[float, float]:
+        if rho == 0.0:
+            raise DegenerateRate(_RHO_ZERO)
+        refine = _log2(1.0 + slot_sinr(rho, J, quant(rho, J)))
+        final = _log2(1.0 + slot_sinr(rho, J, 0.0))
+        bits_total = 0.0
+        for _ in range(T - 1):
+            bits_total += refine
+        bits_total += final
+        if tin:
+            se = (J * B / (2.0 * T * T)) * bits_total
+            return se, T * sigma2 * rho / ((B / T) * bits_total)
+        return (B / (2.0 * T)) * bits_total, J * sigma2 * rho / ((B / T) * bits_total)
+    return rate
 
 
-def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
-    """Spectral efficiency and SNR per bit of one scheme under one regime.
+def rate_function(scheme: Scheme, regime: Regime, params: SchemeParams):
+    """The (rho, J) -> (se, ebn0) map of one scheme under one regime, with
+    every other parameter of ``params`` bound; a sweep builds it once a curve.
 
     bits = log2(1 + sinr) of the combined channel.  TIN: se = (J/(2T))*bits
     and ebn0 = T*sigma2*rho/bits.  Sum-optimal: se = bits/2 and
     ebn0 = J*sigma2*rho/bits, times T for classical (per-attempt energy).
     rho = 0 makes the ratio 0/0 and raises DegenerateRate, and so does an SINR
-    that overflows.
+    that overflows; :func:`checked_db` checks the result.
     """
-    p = params
-    if p.rho == 0.0:
-        raise DegenerateRate(
-            "rho = 0 makes the energy-per-bit ratio 0/0; "
-            "use harqscale.limits for the limiting values"
-        )
     if scheme is Scheme.IR_OMA:
-        return _ir_oma(p, regime)
-    sinr = combined_sinr(scheme, regime, p.rho, p.T, p.J, p.eta)
-    bits = _log2(1.0 + sinr)
-    if regime is Regime.TIN:
-        return _metrics((p.J / (2.0 * p.T)) * bits, p.T * p.sigma2 * p.rho / bits)
-    energy = p.J * p.sigma2 * p.rho
-    if scheme is Scheme.CLASSICAL:
-        energy = energy * p.T
-    return _metrics(0.5 * bits, energy / bits)
+        return _ir_oma_rate(regime, params)
+    T, sigma2 = params.T, params.sigma2
+    sinr = _sinr_form(scheme, regime, T, params.eta)
+    tin = regime is Regime.TIN
+    attempts = T if scheme is Scheme.CLASSICAL else 1  # x * 1 is x to the bit
+
+    def rate(rho: float, J: float) -> tuple[float, float]:
+        if rho == 0.0:
+            raise DegenerateRate(_RHO_ZERO)
+        try:
+            bits = _log2(1.0 + sinr(rho, J))
+        except OverflowError as exc:
+            raise DegenerateRate(_SINR_OVERFLOW.format(J, T)) from exc
+        if tin:
+            return (J / (2.0 * T)) * bits, T * sigma2 * rho / bits
+        return 0.5 * bits, J * sigma2 * rho * attempts / bits
+    return rate
+
+
+def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
+    """Spectral efficiency and SNR per bit of one scheme under one regime:
+    :func:`rate_function` at (params.rho, params.J)."""
+    return _metrics(*rate_function(scheme, regime, params)(params.rho, params.J))
 
 
 # ---------------------------------------------------------------------------

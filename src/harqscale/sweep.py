@@ -2,12 +2,12 @@
 
 A curve is an ordered list of points swept over rho (or over J for density
 curves, in which case the point's ``rho`` field carries the J that produced
-it).  Grid points whose evaluation errors (e.g. rho = 0) are skipped and
-counted, never emitted as NaN; a curve where nothing survived raises
-EmptyCurve.  Each grid value is checked with the rule ``SchemeParams`` applies
-to the swept field (``check_rho`` or ``check_J``; a failure is a skipped
-point), and the point's parameter record is copied from the already-checked
-base rather than validated again field by field.  numpy is imported by
+it).  Each curve builds its rate function (``closedform.rate_function``) once,
+with every fixed parameter bound; each grid value is checked with the rule
+``SchemeParams`` applies to the swept field (``check_rho`` or ``check_J``),
+then evaluated, and its result checked like a ``Metrics``.  A value that fails
+any of these (e.g. rho = 0) is skipped and counted, never emitted as NaN; a
+curve where nothing survived raises EmptyCurve.  numpy is imported by
 ``make_grid`` only, on first use, once its arguments are checked.
 """
 
@@ -17,7 +17,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .closedform import Metrics, evaluate
+from .closedform import checked_db, rate_function
+from .closedform import evaluate  # noqa: F401  (bench/spans.py wraps this name when tracing)
 from .errors import EmptyCurve, GridMismatch, HarqScaleError
 from .params import Regime, Scheme, SchemeParams, check_J, check_rho
 
@@ -73,30 +74,28 @@ def _sweep(
     grid: tuple[float, ...],
     sweep_var: str,
     check: "callable[[float], None]",
-    y_of: "callable[[Metrics], float]",
+    y_divisor: float,
 ) -> Curve:
+    rate = rate_function(scheme, regime, params)
+    by_rho = sweep_var == "rho"
+    rho, J = params.rho, params.J
     points: list[CurvePoint] = []
     skipped = 0
-    values = dict(vars(params))
     for value in grid:
         try:
             check(value)
-            values[sweep_var] = value
-            # params passed __post_init__ and check() applies its rule to the
-            # one field that changes, so the point skips the full re-check
-            point = object.__new__(SchemeParams)
-            point.__dict__.update(values)
-            metrics = evaluate(scheme, regime, point)
+            se, ebn0 = rate(value, J) if by_rho else rate(rho, value)
+            db = checked_db(se, ebn0)
         except (HarqScaleError, ValueError):
             skipped += 1
             continue
-        # built like the point's params, without the frozen __init__
+        # built without the frozen __init__, like each Metrics
         record = object.__new__(CurvePoint)
         attrs = record.__dict__
-        attrs["x_ebn0_db"] = metrics.ebn0_db
-        attrs["y"] = y_of(metrics)
+        attrs["x_ebn0_db"] = db
+        attrs["y"] = se / y_divisor  # se / 1.0 is se to the bit
         attrs["rho"] = value  # the grid's own object: curve_to_json reuses its repr
-        attrs["ebn0_linear"] = metrics.ebn0_linear
+        attrs["ebn0_linear"] = ebn0
         points.append(record)
     if not points:
         raise EmptyCurve(f"every {sweep_var} grid point errored ({skipped} skipped)")
@@ -111,7 +110,7 @@ def se_curve(
 ) -> Curve:
     """Spectral efficiency against SNR per bit, swept over rho."""
     grid = _check_ascending(rho_grid, "rho")
-    return _sweep(scheme, regime, params, grid, "rho", check_rho, lambda m: m.se)
+    return _sweep(scheme, regime, params, grid, "rho", check_rho, 1.0)
 
 
 def density_curve(
@@ -125,8 +124,7 @@ def density_curve(
     Swept over the user count J at fixed rho.
     """
     grid = _check_ascending(j_grid, "J")
-    return _sweep(scheme, regime, params, grid, "J", lambda j: check_J(j, params.T),
-                  lambda m: m.se / params.L)
+    return _sweep(scheme, regime, params, grid, "J", lambda j: check_J(j, params.T), params.L)
 
 
 def min_ebn0(curve: Curve) -> tuple[float, float]:

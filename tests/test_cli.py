@@ -333,7 +333,7 @@ def test_limits_never_print_inf_or_a_math_domain_error(argv, needle, capsys):
     ["point", "--T", str(10**400)],
     ["point", "--B", str(10**400)],
     ["validate", "--T", str(10**400)],
-    # inside float range, but no sequence has 10**300 slots
+    # inside float range; T * trials is past its bound
     ["validate", "--T", str(10**300)],
 ], ids=["point-T", "point-B", "validate-T", "validate-T-beyond-index"])
 def test_integer_beyond_float_range_exits_2_naming_it(argv, capsys):
@@ -374,6 +374,35 @@ def test_validate_work_is_bounded_by_t_times_trials(capsys):
     # T and T * trials at their bounds are accepted (an amplitude check is the cheaper one)
     assert main(["validate", "--mode", "amplitude", "--T", "10000", "--trials", "100"]) in (0, 3)
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "amplitude", "--T", "1000", "--trials", "1000", "--users-per-slot", "11"],
+     "T * users_per_slot * trials must be <= 10000000, got 1000 * 11 * 1000"),
+    (["--mode", "amplitude", "--T", "10000", "--trials", "1", "--users-per-slot", "11"],
+     "T * users_per_slot must be <= 100000, got 10000 * 11"),
+    (["--m", "1025"], "m must be <= 1024, got 1025"),
+    (["--m", str(10**12)], f"m must be <= 1024, got {10**12}"),
+], ids=["phases", "frame", "m", "huge-m"])
+def test_validate_size_bounds_exit_2_before_any_work(argv, message):
+    # in a child with a deadline: unbounded, these run for seconds or
+    # allocate their full size
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH", "")]))}
+    proc = subprocess.run([sys.executable, "-m", "harqscale.cli", "validate", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_validate_accepts_its_size_inputs_at_their_bounds(capsys):
+    # m and users_per_slot = m - 1 at theirs, and each product bound reached
+    for argv in (["--m", "1024", "--users-per-slot", "1023", "--T", "1", "--trials", "9"],
+                 ["--mode", "amplitude", "--T", "10000", "--trials", "1",
+                  "--users-per-slot", "10"],
+                 ["--mode", "amplitude", "--T", "100", "--trials", "10000",
+                  "--users-per-slot", "10"]):
+        assert main(["validate", *argv]) in (0, 3)
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("regime", ["sum", "tin"])

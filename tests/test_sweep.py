@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import harqscale.sweep
+from harqscale.closedform import rate_function
 from harqscale import (
     Curve,
     CurvePoint,
@@ -210,15 +211,91 @@ def test_density_curve_equals_the_replace_loop(scheme, regime, params, grid):
                                 scheme, regime, params, grid)
 
 
+# ------------------------------------------------- the sweep is evaluate, bitwise
+
+
+def evaluate_at(scheme, regime, params, sweep_var, value):
+    """evaluate at one grid value, the field rule applied by replace; None
+    where either raises an error that skips a point."""
+    try:
+        return evaluate(scheme, regime, replace(params, **{sweep_var: value}))
+    except (HarqScaleError, ValueError):
+        return None
+
+
+def assert_sweep_is_evaluate_bitwise(curve_fn, sweep_var, y_of, scheme, regime, params, grid):
+    try:
+        want = [(value, evaluate_at(scheme, regime, params, sweep_var, value)) for value in grid]
+    except ZeroDivisionError:  # a rate that rounds to 0 escapes the sweep too
+        with pytest.raises(ZeroDivisionError):
+            curve_fn(scheme, regime, params, grid)
+        return
+    survivors = [(value, m) for value, m in want if m is not None]
+    if not survivors:
+        with pytest.raises(EmptyCurve):
+            curve_fn(scheme, regime, params, grid)
+        return
+    curve = curve_fn(scheme, regime, params, grid)
+    assert curve.skipped == len(grid) - len(survivors)
+    # repr tells -0.0 from 0.0 and keeps every bit, where == would not
+    assert [tuple(map(repr, (p.rho, p.x_ebn0_db, p.y, p.ebn0_linear))) for p in curve.points] \
+        == [tuple(map(repr, (value, m.ebn0_db, y_of(m), m.ebn0_linear)))
+            for value, m in survivors]
+
+
+# J up to 1e200 overflows the SINR, c_buf = 1e-300 at T >= 2 leaves an IR-OMA
+# buffer growth of 0 and c_buf = inf clamps IR-OMA TIN's quantization noise
+edge_params = st.integers(1, 8).flatmap(lambda T: st.builds(
+    SchemeParams,
+    rho=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    T=st.just(T),
+    J=st.one_of(st.floats(T, 50.0), st.floats(T, 1e200), st.sampled_from([1e160, 1e200])),
+    eta=st.floats(0.0, 1.0),
+    sigma2=st.floats(1e-3, 1e3),
+    B=st.integers(1, 4),
+    c_buf=st.sampled_from([1e-300, 0.5, 10.0, math.inf]),
+    L=st.floats(1.0, 1e3),
+))
+edge_j_values = st.one_of(j_values, st.floats(0.5, 1e200), st.sampled_from([1e160, 1e200]))
+
+
+@given(scheme=st.sampled_from(Scheme), regime=st.sampled_from(Regime), params=edge_params,
+       grid=ascending(rho_values))
+@settings(max_examples=300, deadline=None)
+def test_se_curve_is_evaluate_bit_for_bit(scheme, regime, params, grid):
+    assert_sweep_is_evaluate_bitwise(se_curve, "rho", lambda m: m.se,
+                                     scheme, regime, params, grid)
+
+
+@given(scheme=st.sampled_from(Scheme), regime=st.sampled_from(Regime), params=edge_params,
+       grid=ascending(edge_j_values))
+@settings(max_examples=300, deadline=None)
+def test_density_curve_is_evaluate_bit_for_bit(scheme, regime, params, grid):
+    assert_sweep_is_evaluate_bitwise(density_curve, "J", lambda m: m.se / params.L,
+                                     scheme, regime, params, grid)
+
+
+def test_a_rate_that_rounds_to_zero_escapes_the_sweep():
+    # CC-NOMA TIN's rate at rho = 1e-20 rounds to 0 and the SNR per bit
+    # divides by it: a ZeroDivisionError, not a skipped point, until the
+    # evaluator names a rate that rounds to 0
+    with pytest.raises(ZeroDivisionError):
+        se_curve(Scheme.CC_NOMA, Regime.TIN, SchemeParams(), (1e-20, 1.0))
+
+
 def test_sweep_lets_errors_other_than_value_errors_escape(monkeypatch):
     # only HarqScaleError and ValueError mark a point as skipped; the sweep
-    # calls evaluate through its module global
-    def evaluate_failing_at_half(scheme, regime, params):
-        if params.rho == 0.5:
-            raise ZeroDivisionError("float division by zero")
-        return evaluate(scheme, regime, params)
+    # builds each curve's rate function through its module global
+    def rate_function_failing_at_half(scheme, regime, params):
+        rate = rate_function(scheme, regime, params)
 
-    monkeypatch.setattr(harqscale.sweep, "evaluate", evaluate_failing_at_half)
+        def failing_at_half(rho, J):
+            if rho == 0.5:
+                raise ZeroDivisionError("float division by zero")
+            return rate(rho, J)
+        return failing_at_half
+
+    monkeypatch.setattr(harqscale.sweep, "rate_function", rate_function_failing_at_half)
     p = SchemeParams(rho=1.0, T=2, J=10.0, eta=1.0)
     assert len(se_curve(Scheme.CC_NOMA, Regime.TIN, p, (0.25, 1.0)).points) == 2
     with pytest.raises(ZeroDivisionError):
