@@ -33,7 +33,6 @@ from .errors import DegenerateRate, InvalidSlot, UnsupportedCombination
 from .params import Regime, Scheme, SchemeParams
 
 _LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 
 
 def _log2(x: float) -> float:
@@ -72,15 +71,6 @@ def checked_db(se: float, ebn0: float) -> float:
     if not math.isfinite(se):
         raise DegenerateRate(f"the spectral efficiency is not finite ({se!r}): {_TOO_LARGE}")
     return _db(ebn0)
-
-
-def _metrics(se: float, ebn0: float) -> Metrics:
-    # Filling the instance dict skips the frozen __init__ (an
-    # object.__setattr__ per field); ==, hash and repr read the same fields.
-    db = checked_db(se, ebn0)
-    metrics = object.__new__(Metrics)
-    metrics.__dict__.update(se=se, ebn0_linear=ebn0, ebn0_db=db)
-    return metrics
 
 
 @dataclass(frozen=True)
@@ -264,41 +254,22 @@ def rate_function(scheme: Scheme, regime: Regime, params: SchemeParams):
 def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
     """Spectral efficiency and SNR per bit of one scheme under one regime:
     :func:`rate_function` at (params.rho, params.J)."""
-    return _metrics(*rate_function(scheme, regime, params)(params.rho, params.J))
+    se, ebn0 = rate_function(scheme, regime, params)(params.rho, params.J)
+    return Metrics(se, ebn0, checked_db(se, ebn0))
 
 
 # ---------------------------------------------------------------------------
 # finite-blocklength normal approximation
 # ---------------------------------------------------------------------------
 
-# |Phi^-1| rational approximation in t = sqrt(-2 ln eps) (Hastings-style
-# coefficients, abs err < 4.5e-4) -- only used to seed Newton.
-_INV_C = (2.515517, 0.802853, 0.010328)
-_INV_D = (1.432788, 0.189269, 0.001308)
-
-
-def _gauss_tail(x: float) -> float:
-    return 0.5 * math.erfc(x / _SQRT2)
-
 
 def qinv(epsilon: float) -> float:
-    """Inverse of the standard-normal upper tail on (0, 0.5).
-
-    Rational initial guess refined by Newton on Q(x) - eps; relative error is
-    below 1e-10 across the supported range.
-    """
+    """Inverse of the standard-normal upper tail on (0, 0.5) to full double
+    precision: the standard library's -Phi^-1(epsilon), so no 1 - epsilon is rounded."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon!r}")
-    t = math.sqrt(-2.0 * math.log(epsilon))
-    c0, c1, c2 = _INV_C
-    d1, d2, d3 = _INV_D
-    x = t - (c0 + t * (c1 + t * c2)) / (1.0 + t * (d1 + t * (d2 + t * d3)))
-    for _ in range(4):
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:  # tail too deep to polish; the seed is all we have
-            break
-        x += (_gauss_tail(x) - epsilon) / pdf
-    return x
+    from statistics import NormalDist  # it imports fractions and decimal: load on first call
+    return -NormalDist().inv_cdf(epsilon)
 
 
 def fbl_rate(sinr: float, n: float, epsilon: float) -> float:

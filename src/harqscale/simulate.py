@@ -221,7 +221,8 @@ def analytic_sinr(
 ) -> float:
     """Closed-form post-combining SINR for chase combining with the given
     per-slot user counts: :func:`harqscale.closedform.combined_sinr` at
-    J = sum of the counts, the same function ``evaluate`` calls for TIN.
+    J = sum of the counts; ``evaluate`` reads the same TIN form through
+    :func:`harqscale.closedform.rate_function`.
     """
     counts = [int(c) for c in per_slot_counts]
     if len(counts) != T:

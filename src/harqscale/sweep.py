@@ -89,7 +89,7 @@ def _sweep(
         except (HarqScaleError, ValueError):
             skipped += 1
             continue
-        # built without the frozen __init__, like each Metrics
+        # built without the frozen __init__: a curve builds one per grid value
         record = object.__new__(CurvePoint)
         attrs = record.__dict__
         attrs["x_ebn0_db"] = db

@@ -235,6 +235,25 @@ def test_config_value_outside_choices_exits_2_naming_the_key(command, key, tmp_p
     assert key in captured.err
 
 
+def test_unreadable_config_file_exits_2_naming_the_path(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["point", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(cfg) in captured.err
+
+
+def test_config_line_without_equals_exits_2_naming_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# model\nrho = 1.0\nT 2\n")
+    assert main(["point", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{cfg}:3" in captured.err
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rho = 1.0\nbandwidth = 5\n")
@@ -659,10 +678,11 @@ _CLI = ("-m", "harqscale.cli")
 ], ids=["import", "import-cli", "point", "limits", "help", "point-rho-0", "limits-c-buf-0",
         "validate-trials-0", "curve-grid-max-inf", "curve", "validate"])
 def test_which_commands_load_numpy_and_the_simulator(args, code, loaded):
-    # curve and validate load them, so the import log does list what is imported
+    # curve and validate load them, so the import log does list what is imported;
+    # statistics loads only on closedform.qinv's first call, which no command makes
     rc, modules = _imports(*args)
     assert rc == code
-    assert modules & {"numpy", "harqscale.simulate"} == loaded
+    assert modules & {"numpy", "statistics", "harqscale.simulate"} == loaded
 
 
 def test_lazy_simulate_names_resolve_and_unknown_names_raise():

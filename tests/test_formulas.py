@@ -19,6 +19,7 @@ from harqscale import (
     Regime,
     Scheme,
     SchemeParams,
+    UnsupportedCombination,
     buffer_rate_from_quant_noise,
     evaluate,
     fbl_rate,
@@ -26,6 +27,7 @@ from harqscale import (
     qinv,
     total_power,
 )
+from harqscale.closedform import combined_sinr
 from harqscale.params import T_MAX
 
 LN2 = math.log(2.0)
@@ -143,6 +145,13 @@ def test_zero_rate_inputs_are_rejected():
         for regime in Regime:
             with pytest.raises(DegenerateRate):
                 evaluate(scheme, regime, p0)
+
+
+def test_ir_oma_has_no_combined_channel_sinr():
+    # IR-OMA's slots see different noise, so no single combined SINR exists
+    for regime in Regime:
+        with pytest.raises(UnsupportedCombination, match="ir-oma"):
+            combined_sinr(Scheme.IR_OMA, regime, 1.0, 2, 10.0, 0.1)
 
 
 # ------------------------------------------------------------ quantization noise
@@ -466,7 +475,9 @@ def test_qinv_reference_value():
 
 def test_qinv_against_scipy():
     ndtri = pytest.importorskip("scipy.special").ndtri
-    for eps in (0.4, 0.1, 1e-2, 1e-3, 1e-6, 1e-9, 1e-12):
+    # the last three sit next to 0.5 and at the smallest subnormal
+    for eps in (0.4, 0.1, 1e-2, 1e-3, 1e-6, 1e-9, 1e-12,
+                0.4999999, math.nextafter(0.5, 0.0), 5e-324):
         assert rel(qinv(eps), -ndtri(eps)) < 1e-10
 
 

@@ -292,6 +292,13 @@ def test_sinr_desired_user_must_transmit_every_slot():
         simulate_cc_noma_sinr(sigs, 1.0, 1.0, 2, [(0, 1), (1, 2)], 0, 10, 0)
 
 
+@pytest.mark.parametrize("trials, workers, name", [(0, 1, "trials"), (10, 0, "workers")])
+def test_sinr_trials_and_workers_must_be_positive(trials, workers, name):
+    sigs = make_equicorrelated_signatures(16, 5, 0.1)
+    with pytest.raises(ValueError, match=name):
+        simulate_cc_noma_sinr(sigs, 1.0, 1.0, 1, [range(5)], 0, trials, 0, workers=workers)
+
+
 def test_sinr_slot_count_must_match_T():
     sigs = make_equicorrelated_signatures(16, 5, 0.1)
     with pytest.raises(ValueError):
@@ -361,6 +368,13 @@ def test_noise_expansion_exact_corner_cases():
     # a per-slot amplitude and a small noise term: every phasor has modulus 1
     # to float64 precision, where float32 cos/sin alone are ~1e-7 off
     assert verify_cc_oma_noise_expansion((0.5,), (2,), 1e-3, 1000, seed=0) < 1e-12
+
+
+def test_noise_expansion_needs_occupied_slots_and_trials():
+    with pytest.raises(ValueError, match="slot"):
+        verify_cc_oma_noise_expansion(1.0, (5, 0), 1.0, 100, seed=0)
+    with pytest.raises(ValueError, match="trials"):
+        verify_cc_oma_noise_expansion(1.0, (5, 5), 1.0, 0, seed=0)
 
 
 def test_noise_expansion_per_slot_amplitudes():

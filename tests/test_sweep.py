@@ -358,6 +358,13 @@ def test_min_ebn0_tie_prefers_larger_y():
     assert min_ebn0(c) == (1.0, 0.7)
 
 
+def test_min_ebn0_of_a_curve_without_points_raises():
+    p = SchemeParams(rho=1.0, T=1, J=1.0)
+    c = Curve(Scheme.CLASSICAL, Regime.TIN, p, "rho", (), (0.0,), 1)
+    with pytest.raises(EmptyCurve):
+        min_ebn0(c)
+
+
 def test_min_ebn0_single_point_curve():
     p = SchemeParams(rho=1.0, T=1, J=1.0)
     c = se_curve(Scheme.CLASSICAL, Regime.SUM_OPTIMAL, p, (1.0,))
