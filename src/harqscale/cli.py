@@ -45,6 +45,8 @@ OUT_DIR_ENV = "HARQSCALE_OUT_DIR"
 # of the users_per_slot x m signature array
 VALIDATE_BOUNDS = {"T * trials": 10**6, "T * users_per_slot": 10**5,
                    "T * users_per_slot * trials": 10**7, "m": 1024}
+# a curve's grid size: a curve of this many points builds in under a second
+GRID_POINTS_MAX = 10**5
 
 _CURVES = ("curve", "density")
 _CLOSED_FORM = ("point", *_CURVES, "limits")
@@ -177,8 +179,9 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # make_grid checks the bounds; only a curve needs a second point
-    if ns.command in _CURVES and m["grid_points"] < 2:
-        raise ConfigError(f"grid_points must be >= 2 for curves, got {m['grid_points']!r}")
+    if ns.command in _CURVES and not 2 <= m["grid_points"] <= GRID_POINTS_MAX:
+        raise ConfigError(f"grid_points must be in 2..{GRID_POINTS_MAX} for curves, "
+                          f"got {m['grid_points']!r}")
     return RunConfig(ns.command, Scheme(m["scheme"]), Regime(m["regime"]), params, m)
 
 
@@ -198,18 +201,13 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_point(cfg: RunConfig) -> int:
-    metrics = evaluate(cfg.scheme, cfg.regime, cfg.params)
+    m = evaluate(cfg.scheme, cfg.regime, cfg.params)
+    values = {"se": m.se, "ebn0_linear": m.ebn0_linear, "ebn0_db": m.ebn0_db}
     if cfg.options["format"] == "json":
-        text = json.dumps(
-            {"se": metrics.se, "ebn0_linear": metrics.ebn0_linear, "ebn0_db": metrics.ebn0_db},
-            sort_keys=True,
-        ) + "\n"
+        text = json.dumps(values, sort_keys=True)
     else:
-        text = (
-            f"se={metrics.se!r} ebn0_linear={metrics.ebn0_linear!r} "
-            f"ebn0_db={metrics.ebn0_db!r}\n"
-        )
-    _emit(text, cfg.options["output"])
+        text = " ".join(f"{key}={value!r}" for key, value in values.items())
+    _emit(text + "\n", cfg.options["output"])
     return 0
 
 
@@ -226,10 +224,9 @@ def _cmd_curve(cfg: RunConfig) -> int:
 
 
 def _cmd_limits(cfg: RunConfig) -> int:
-    lines = []
+    found = []  # (result, the " hold=..." part of its line)
     try:
-        r = ebn0_floor(cfg.scheme, cfg.regime, cfg.params)
-        lines.append(f"{r.kind.value} linear={r.value_linear!r} db={r.value_db!r}")
+        found.append((ebn0_floor(cfg.scheme, cfg.regime, cfg.params), ""))
     except UnsupportedCombination:
         pass
     for hold in Hold:
@@ -237,12 +234,11 @@ def _cmd_limits(cfg: RunConfig) -> int:
             r = ebn0_rho_zero_limit(cfg.scheme, cfg.regime, cfg.params, hold)
         except UnsupportedCombination:
             continue
-        lines.append(
-            f"{r.kind.value} hold={hold.value} linear={r.value_linear!r} db={r.value_db!r}"
-        )
+        found.append((r, f" hold={hold.value}"))
     if cfg.scheme is Scheme.IR_OMA and cfg.regime is Regime.TIN:
-        r = ebn0_cbuf_infinity_ir_tin(cfg.params)
-        lines.append(f"{r.kind.value} linear={r.value_linear!r} db={r.value_db!r}")
+        found.append((ebn0_cbuf_infinity_ir_tin(cfg.params), ""))
+    lines = [f"{r.kind.value}{suffix} linear={r.value_linear!r} db={r.value_db!r}"
+             for r, suffix in found]
     if not lines:
         lines.append(f"no closed-form limits for {cfg.scheme.value}/{cfg.regime.value}")
     _emit("\n".join(lines) + "\n", cfg.options["output"])
@@ -303,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return run(config_from_args(ns))
-    except (ConfigError, HarqScaleError, ValueError) as exc:
+    except (HarqScaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,15 @@
 """Delimited-table serialization of curves.
 
-Floats are written with ``repr``, which round-trips exactly (17 significant
-digits at most, never fewer than the shortest exact form), so re-parsing a
-table reproduces every value bit-for-bit.  Output is locale-independent:
-'.' decimal separator, '\\n' line ends, keys sorted in JSON.  The JSON text is
-exactly ``json.dumps(doc, sort_keys=True, indent=2)`` of the curve's document,
-but written from a fixed per-point template rather than by that call.  Each
-point's floats are formatted once per curve and shared by both writers, so
-writing a curve to CSV and then to JSON (or the reverse, or twice) formats
-them once; JSON's grid reuses the rho of each point a grid value produced and
-formats only the skipped values.  Every byte of either output is what
-formatting them anew gives.
+One rule formats every number of either table: ``repr``, which round-trips
+exactly, and in JSON the non-finite reprs as NaN, Infinity and -Infinity.
+Output is locale-independent: '.' decimal separator, '\\n' line ends, keys
+sorted in JSON.  The JSON text is exactly ``json.dumps(doc, sort_keys=True,
+indent=2)`` of the curve's document, but written from a fixed per-point
+template rather than by that call.  Each point's floats are formatted once
+per curve and shared by both writers, so writing a curve to CSV and then to
+JSON (or the reverse, or twice) formats them once; JSON's grid reuses the
+rho of each point a grid value produced and formats only the skipped values.
+Every byte of either output is what formatting them anew gives.
 """
 
 from __future__ import annotations
@@ -56,14 +55,6 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]"
 
 
-def _json_numbers(values: list[float]) -> list[str]:
-    """Each number as json writes it: ``float.__repr__``, or NaN/Infinity/-Infinity.
-
-    One call to json's C encoder formats them all.
-    """
-    return json.dumps(values)[1:-1].split(", ") if values else []
-
-
 def _json_grid(curve: Curve, rho_numbers: list[str]) -> list[str]:
     """Each grid value as json writes it, given the points' rho as json writes them.
 
@@ -71,10 +62,9 @@ def _json_grid(curve: Curve, rho_numbers: list[str]) -> list[str]:
     is the point's own ``rho`` object (``_sweep`` stores it), so its number is
     the point's, formatted once.  ``is``, not ``==``: one object has one repr,
     while 0.0 == -0.0.  The other grid values (skipped ones, or any in a
-    curve not built by ``_sweep``) are formatted here, in one json call.
+    curve not built by ``_sweep``) are formatted here by the same rule.
     """
-    numbers: list = []
-    skipped: list[int] = []
+    numbers = []
     pairs = zip([p.rho for p in curve.points], rho_numbers)
     rho, number = next(pairs, (None, None))
     for g in curve.grid:
@@ -82,10 +72,8 @@ def _json_grid(curve: Curve, rho_numbers: list[str]) -> list[str]:
             numbers.append(number)
             rho, number = next(pairs, (None, None))
         else:
-            skipped.append(len(numbers))
-            numbers.append(g)
-    for k, text in zip(skipped, _json_numbers([numbers[k] for k in skipped])):
-        numbers[k] = text
+            text = f"{g!r}"
+            numbers.append(_JSON_NON_FINITE.get(text, text))
     return numbers
 
 

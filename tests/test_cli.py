@@ -14,7 +14,7 @@ import pytest
 import harqscale
 import harqscale.cli
 from harqscale import Regime, Scheme, SchemeParams, evaluate, make_grid, se_curve
-from harqscale.cli import main
+from harqscale.cli import GRID_POINTS_MAX, build_parser, config_from_args, main
 from harqscale.tables import CSV_HEADER
 
 REF_ARGS = ["--scheme", "cc-noma", "--regime", "sum", "--rho", "1", "--T", "2",
@@ -451,6 +451,23 @@ def test_curve_grid_validation_errors(capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("points", [GRID_POINTS_MAX + 1, 10**13], ids=["bound+1", "huge"])
+@pytest.mark.parametrize("command", ["curve", "density"])
+def test_grid_points_above_the_bound_exit_2_before_numpy_loads(command, points):
+    # in a child with a deadline: unbounded, 10**13 points asks numpy for 73 TiB
+    proc, modules = _imports(*_CLI, command, "--grid-points", str(points), timeout=10)
+    errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+    assert (proc.returncode, proc.stdout, errors) == (
+        2, "", [f"error: grid_points must be in 2..{GRID_POINTS_MAX} for curves, got {points}"])
+    assert "numpy" not in modules
+
+
+def test_grid_points_at_the_bound_are_accepted():
+    for command in ("curve", "density"):
+        ns = build_parser().parse_args([command, "--grid-points", str(GRID_POINTS_MAX)])
+        assert config_from_args(ns).options["grid_points"] == GRID_POINTS_MAX
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["point", "--snr", "3"])
@@ -557,6 +574,18 @@ def test_validate_waveform_reference_run(capsys):
     assert "analytic=1.5151515151515151" in out
 
 
+def test_validate_estimate_does_not_depend_on_m(capsys):
+    # noise is drawn only on the desired user's support, so m only sizes the
+    # signature array: every line but the first (which echoes m) is the same
+    outputs = []
+    for m in ("11", "1024"):
+        assert main(["validate", "--users-per-slot", "10", "--T", "2", "--trials", "2000",
+                     "--seed", "3", "--m", m]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0][0] != outputs[1][0]
+    assert outputs[0][1:] == outputs[1][1:]
+
+
 def test_validate_runs_t_times_users_per_slot_transmissions(capsys):
     # J is T * users_per_slot = 33, with no default of its own for T = 11 to exceed
     assert main(["validate", "--T", "11", "--users-per-slot", "3"]) == 0
@@ -649,15 +678,15 @@ def test_validate_rejects_inconsistent_monte_carlo_knobs(capsys):
 _SRC = str(Path(harqscale.__file__).resolve().parent.parent)
 
 
-def _imports(*args: str) -> tuple[int, set[str]]:
-    """Run ``python -X importtime ARGS``; return its exit code and the names
-    of the modules it imported."""
+def _imports(*args: str, timeout: float = 60) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -X importtime ARGS``; return the finished process and the
+    names of the modules it imported."""
     path = [_SRC, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
-                          text=True, env=env, timeout=60)
-    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                             if line.startswith("import time:")}
+                          text=True, env=env, timeout=timeout)
+    return proc, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
 
 
 _CLI = ("-m", "harqscale.cli")
@@ -680,8 +709,8 @@ _CLI = ("-m", "harqscale.cli")
 def test_which_commands_load_numpy_and_the_simulator(args, code, loaded):
     # curve and validate load them, so the import log does list what is imported;
     # statistics loads only on closedform.qinv's first call, which no command makes
-    rc, modules = _imports(*args)
-    assert rc == code
+    proc, modules = _imports(*args)
+    assert proc.returncode == code
     assert modules & {"numpy", "statistics", "harqscale.simulate"} == loaded
 
 

@@ -147,71 +147,18 @@ def test_density_curve_skips_j_below_slot_count():
     assert [pt.rho for pt in c.points] == [2.0, 10.0]
 
 
-# ------------------------------------------------- per-point parameter records
-
-
-def replace_loop_curve(scheme, regime, params, grid, sweep_var, y_of):
-    """The sweep as a loop over dataclasses.replace, which re-checks every
-    field of every point; None where no point survives."""
-    points, skipped = [], 0
-    for value in grid:
-        try:
-            m = evaluate(scheme, regime, replace(params, **{sweep_var: value}))
-        except (HarqScaleError, ValueError):
-            skipped += 1
-            continue
-        points.append(CurvePoint(m.ebn0_db, y_of(m), value, m.ebn0_linear))
-    if not points:
-        return None
-    return Curve(scheme, regime, params, sweep_var, tuple(points), tuple(grid), skipped)
+# ------------------------------------------------- the sweep is evaluate, bitwise
 
 
 def ascending(values):
     return st.lists(values, min_size=1, max_size=12, unique=True).map(sorted)
 
 
-base_params = st.integers(1, 8).flatmap(lambda T: st.builds(
-    SchemeParams,
-    rho=st.floats(1e-3, 1e2),
-    T=st.just(T),
-    J=st.floats(T, 50.0),
-    eta=st.floats(0.0, 1.0),
-    c_buf=st.sampled_from([0.5, 10.0, math.inf]),
-    L=st.floats(1.0, 1e3),
-))
-
 # rho = 0, negative rho and rho = inf fail the rho rule; J below T fails the J rule
 rho_values = st.one_of(
     st.sampled_from([0.0, -1.0, math.inf]), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)
 )
 j_values = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.5, 200.0))
-
-
-def assert_matches_replace_loop(curve_fn, sweep_var, y_of, scheme, regime, params, grid):
-    want = replace_loop_curve(scheme, regime, params, grid, sweep_var, y_of)
-    if want is None:
-        with pytest.raises(EmptyCurve):
-            curve_fn(scheme, regime, params, grid)
-    else:
-        assert curve_fn(scheme, regime, params, grid) == want
-
-
-@given(scheme=st.sampled_from(Scheme), regime=st.sampled_from(Regime), params=base_params,
-       grid=ascending(rho_values))
-@settings(max_examples=300, deadline=None)
-def test_se_curve_equals_the_replace_loop(scheme, regime, params, grid):
-    assert_matches_replace_loop(se_curve, "rho", lambda m: m.se, scheme, regime, params, grid)
-
-
-@given(scheme=st.sampled_from(Scheme), regime=st.sampled_from(Regime), params=base_params,
-       grid=ascending(j_values))
-@settings(max_examples=300, deadline=None)
-def test_density_curve_equals_the_replace_loop(scheme, regime, params, grid):
-    assert_matches_replace_loop(density_curve, "J", lambda m: m.se / params.L,
-                                scheme, regime, params, grid)
-
-
-# ------------------------------------------------- the sweep is evaluate, bitwise
 
 
 def evaluate_at(scheme, regime, params, sweep_var, value):
@@ -236,6 +183,8 @@ def assert_sweep_is_evaluate_bitwise(curve_fn, sweep_var, y_of, scheme, regime, 
             curve_fn(scheme, regime, params, grid)
         return
     curve = curve_fn(scheme, regime, params, grid)
+    assert (curve.scheme, curve.regime, curve.params, curve.sweep_var, curve.grid) \
+        == (scheme, regime, params, sweep_var, tuple(grid))
     assert curve.skipped == len(grid) - len(survivors)
     # repr tells -0.0 from 0.0 and keeps every bit, where == would not
     assert [tuple(map(repr, (p.rho, p.x_ebn0_db, p.y, p.ebn0_linear))) for p in curve.points] \

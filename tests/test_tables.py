@@ -161,3 +161,17 @@ def test_json_grid_takes_a_point_rho_only_from_that_grid_value():
     text = curve_to_json(curve, VERSION)
     assert text == reference_json(curve, VERSION)
     assert '"grid": [\n    0.0,\n    1,\n    2.5\n  ]' in text
+
+
+def test_skipped_non_finite_and_signed_zero_grid_values_are_written_as_json_does():
+    # -inf, -1.0, inf and nan fail the rho rule, and -0.0 passes it but makes
+    # the SNR per bit 0/0 (DegenerateRate): five skipped values, two points
+    params = SchemeParams(rho=1.0, T=2, J=10.0, eta=0.3)
+    grid = (-math.inf, -1.0, -0.0, 0.5, 2.0, math.inf, math.nan)
+    curve = se_curve(Scheme.CC_NOMA, Regime.TIN, params, grid)
+    assert curve.skipped == 5
+    text = curve_to_json(curve, VERSION)
+    assert text == reference_json(curve, VERSION)
+    assert curve_to_csv(curve) == reference_csv(curve)
+    assert '"grid": [\n    -Infinity,\n    -1.0,\n    -0.0,\n    0.5,\n    2.0,\n' \
+           '    Infinity,\n    NaN\n  ]' in text
