@@ -1,9 +1,20 @@
 """Command-line interface tests, driven in-process through main(argv); the
-import tests run the CLI in a fresh interpreter."""
+import tests run the CLI in a fresh interpreter.
+
+Every input the CLI refuses is a row of one of three tables, whose test states
+the contract once:
+
+- ``REJECTED``: in process, exit 2, nothing on stdout and one ``error:`` line
+  that holds the row's needles and none of its excluded words.
+- ``REJECTED_BEFORE_WORK``: in a child under a 10 s deadline, the same exit and
+  line, refused before numpy, statistics or the simulator is imported.
+- ``NOT_TAKEN``: a flag the command does not take, refused by argparse (exit 2).
+"""
 
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -106,11 +117,6 @@ def test_readme_cli_examples_print_what_the_readme_shows(capsys):
 # ------------------------------------------------------------------ curves
 
 
-def _read(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def test_curve_csv_round_trips_the_library_floats(tmp_path, capsys):
     out = tmp_path / "c.csv"
     rc = main(["curve", *REF_ARGS, "--grid-min", "0.1", "--grid-max", "10",
@@ -164,16 +170,6 @@ def test_density_grid_below_slot_count_is_skipped_not_fatal(tmp_path):
     assert len(out.read_text().splitlines()) == 3  # header + J=2 + J=4
 
 
-def test_curve_outputs_are_byte_identical_across_runs_and_workers(tmp_path):
-    args = ["curve", *REF_ARGS, "--grid-min", "0.001", "--grid-max", "100",
-            "--grid-points", "60"]
-    paths = [tmp_path / f"c{i}.csv" for i in range(3)]
-    for path in paths:
-        assert main([*args, "--output", str(path)]) == 0
-    blobs = [_read(p) for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
 # ------------------------------------------------------------- configuration
 
 
@@ -220,148 +216,6 @@ def test_parameter_from_flag_or_config_gives_the_same_run(name, tmp_path, capsys
     assert json.loads(from_flag)["meta"]["params"][name] == field_type(value)
 
 
-@pytest.mark.parametrize(
-    "command, key",
-    [("point", "scheme"), ("point", "regime"), ("point", "format"),
-     ("curve", "grid_scale"), ("validate", "mode")],
-)
-def test_config_value_outside_choices_exits_2_naming_the_key(command, key, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = bogus\n")
-    assert main([command, "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert key in captured.err
-
-
-def test_unreadable_config_file_exits_2_naming_the_path(tmp_path, capsys):
-    cfg = tmp_path / "missing.cfg"
-    assert main(["point", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert str(cfg) in captured.err
-
-
-def test_config_line_without_equals_exits_2_naming_path_and_line(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# model\nrho = 1.0\nT 2\n")
-    assert main(["point", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert f"{cfg}:3" in captured.err
-
-
-def test_unknown_config_key_is_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("rho = 1.0\nbandwidth = 5\n")
-    assert main(["point", "--config", str(cfg)]) == 2
-    assert "bandwidth" in capsys.readouterr().err
-
-
-def test_malformed_config_value_is_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("rho = fast\n")
-    assert main(["point", "--config", str(cfg)]) == 2
-    assert "rho" in capsys.readouterr().err
-
-
-def test_invalid_parameters_exit_2_and_name_the_parameter(capsys):
-    assert main(["point", "--rho", "-3"]) == 2
-    assert "rho" in capsys.readouterr().err
-    assert main(["point", "--T", "2", "--J", "1"]) == 2
-    assert "J" in capsys.readouterr().err
-
-
-def test_non_finite_parameter_exits_2_with_one_error_line(capsys):
-    assert main(["point", "--rho", "inf"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "rho" in captured.err
-
-
-def test_infinite_payload_exits_2_naming_l(capsys):
-    assert main(["density", "--L", "inf", "--T", "2", "--scheme", "cc-noma"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "L" in captured.err
-
-
-@pytest.mark.parametrize("scheme, extra", [("ir-oma", ["--c-buf", "inf"]), ("classical", []),
-                                           ("cc-oma", [])])
-def test_non_finite_metrics_exit_2_with_one_error_line(scheme, extra, capsys):
-    # J*rho overflows: IR-OMA's refinement noise is inf/inf (se = nan), and
-    # the classical and CC-OMA sum-optimal rates are inf (ebn0 = nan)
-    argv = ["point", "--scheme", scheme, "--regime", "sum", "--T", "2", "--J", "1e200",
-            "--rho", "1e200", *extra]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "not finite" in captured.err
-
-
-def test_snr_per_bit_underflow_exits_2_naming_rho_and_sigma2(capsys):
-    # rho * sigma2 rounds to 0, so ebn0 = 0 and its dB value is log10(0)
-    assert main(["point", "--rho", "0.1", "--sigma2", "5e-324"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "rho" in captured.err and "sigma2" in captured.err
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param(["point", "--regime", "sum"], id="sum"),
-    pytest.param(["point", "--regime", "tin"], id="tin"),
-    # the floor reads the SINR at rho = 1, a value this command never gave
-    pytest.param(["limits", "--regime", "sum", "--rho", "0.5"], id="limits-sum"),
-])
-def test_sinr_overflow_exits_2_naming_j(argv, capsys):
-    # (J/T - 1)**2 in the CC-NOMA SINR overflows float
-    assert main([*argv, "--scheme", "cc-noma", "--J", "1e200"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "J = 1e+200" in captured.err
-    assert "rho" not in captured.err
-
-
-@pytest.mark.parametrize("argv, needle", [
-    # P_tot = J*sigma2*rho overflows to inf on the fixed-total-power path
-    (["--scheme", "cc-noma", "--regime", "sum", "--rho", "1e300", "--J", "1e10",
-      "--sigma2", "1e10"], "not finite"),
-    (["--scheme", "classical", "--regime", "tin", "--T", "1", "--rho", "1e300",
-      "--J", "1e300"], "not finite"),
-    # P_tot underflows to 0, whose dB value would be log10(0)
-    (["--scheme", "cc-noma", "--regime", "sum", "--rho", "1e-200", "--J", "1",
-      "--sigma2", "1e-200"], "underflows to 0"),
-], ids=["inf-cc-noma-sum", "inf-classical-tin", "zero-cc-noma-sum"])
-def test_limits_never_print_inf_or_a_math_domain_error(argv, needle, capsys):
-    assert main(["limits", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert needle in captured.err and "rho" in captured.err and "sigma2" in captured.err
-
-
-@pytest.mark.parametrize("argv", [
-    ["point", "--T", str(10**400)],
-    ["point", "--B", str(10**400)],
-    ["validate", "--T", str(10**400)],
-    # inside float range; T * trials is past its bound
-    ["validate", "--T", str(10**300)],
-], ids=["point-T", "point-B", "validate-T", "validate-T-beyond-index"])
-def test_integer_beyond_float_range_exits_2_naming_it(argv, capsys):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {argv[1][2:]} ") and captured.err.count("\n") == 1
-
-
 def test_every_scheme_param_is_an_option_with_its_default_and_type():
     default = SchemeParams()
     for f in fields(SchemeParams):
@@ -370,134 +224,22 @@ def test_every_scheme_param_is_an_option_with_its_default_and_type():
         assert opt.default == value and opt.type is type(value), f.name
 
 
-@pytest.mark.parametrize("argv", [
-    ["point", "--scheme", "ir-oma", "--regime", "tin", "--T", "10000000000", "--J", "1e10"],
-    ["validate", "--T", str(2**62)],
-    ["validate", "--T", "100000000", "--trials", "10"],
-], ids=["point-ir-oma-tin", "validate-T-2**62", "validate-T-1e8"])
-def test_t_beyond_its_bounds_exits_2_before_any_work(argv):
-    # in a child with a deadline: unbounded, these run for hours or run out of memory
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [_SRC, os.environ.get("PYTHONPATH", "")]))}
-    proc = subprocess.run([sys.executable, "-m", "harqscale.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=10)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: T ") and proc.stderr.count("\n") == 1
-
-
-def test_validate_work_is_bounded_by_t_times_trials(capsys):
-    assert main(["validate", "--T", "1", "--trials", "1000001"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: T * trials must be <= 1000000, got 1 * 1000001\n"
-    # T and T * trials at their bounds are accepted (an amplitude check is the cheaper one)
-    assert main(["validate", "--mode", "amplitude", "--T", "10000", "--trials", "100"]) in (0, 3)
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["--mode", "amplitude", "--T", "1000", "--trials", "1000", "--users-per-slot", "11"],
-     "T * users_per_slot * trials must be <= 10000000, got 1000 * 11 * 1000"),
-    (["--mode", "amplitude", "--T", "10000", "--trials", "1", "--users-per-slot", "11"],
-     "T * users_per_slot must be <= 100000, got 10000 * 11"),
-    (["--m", "1025"], "m must be <= 1024, got 1025"),
-    (["--m", str(10**12)], f"m must be <= 1024, got {10**12}"),
-], ids=["phases", "frame", "m", "huge-m"])
-def test_validate_size_bounds_exit_2_before_any_work(argv, message):
-    # in a child with a deadline: unbounded, these run for seconds or
-    # allocate their full size
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [_SRC, os.environ.get("PYTHONPATH", "")]))}
-    proc = subprocess.run([sys.executable, "-m", "harqscale.cli", "validate", *argv],
-                          capture_output=True, text=True, env=env, timeout=10)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
-
-
 def test_validate_accepts_its_size_inputs_at_their_bounds(capsys):
     # m and users_per_slot = m - 1 at theirs, and each product bound reached
     for argv in (["--m", "1024", "--users-per-slot", "1023", "--T", "1", "--trials", "9"],
                  ["--mode", "amplitude", "--T", "10000", "--trials", "1",
                   "--users-per-slot", "10"],
                  ["--mode", "amplitude", "--T", "100", "--trials", "10000",
-                  "--users-per-slot", "10"]):
+                  "--users-per-slot", "10"],
+                 ["--mode", "amplitude", "--T", "10000", "--trials", "100"]):
         assert main(["validate", *argv]) in (0, 3)
         assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("regime", ["sum", "tin"])
-def test_tiny_ir_buffer_exits_2_naming_c_buf(regime, capsys):
-    # 2**(2*c_buf/(h*B)) rounds to 1, so the refinement noise would divide by 0
-    argv = ["point", "--scheme", "ir-oma", "--regime", regime, "--T", "2", "--J", "4",
-            "--c-buf", "1e-300"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "c_buf = 1e-300" in captured.err
-
-
-def test_curve_grid_validation_errors(capsys):
-    assert main(["curve", *REF_ARGS, "--grid-points", "1"]) == 2
-    assert "grid" in capsys.readouterr().err
-    assert main(["curve", *REF_ARGS, "--grid-min", "5", "--grid-max", "1"]) == 2
-    assert "grid" in capsys.readouterr().err
-    # non-finite bounds are refused before any grid is built: one error line
-    for bounds in (["--grid-max", "inf"],
-                   ["--grid-scale", "linear", "--grid-min=-inf", "--grid-max", "1"]):
-        assert main(["curve", *REF_ARGS, *bounds]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: grid bounds must be finite")
-        assert captured.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("points", [GRID_POINTS_MAX + 1, 10**13], ids=["bound+1", "huge"])
-@pytest.mark.parametrize("command", ["curve", "density"])
-def test_grid_points_above_the_bound_exit_2_before_numpy_loads(command, points):
-    # in a child with a deadline: unbounded, 10**13 points asks numpy for 73 TiB
-    proc, modules = _imports(*_CLI, command, "--grid-points", str(points), timeout=10)
-    errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
-    assert (proc.returncode, proc.stdout, errors) == (
-        2, "", [f"error: grid_points must be in 2..{GRID_POINTS_MAX} for curves, got {points}"])
-    assert "numpy" not in modules
 
 
 def test_grid_points_at_the_bound_are_accepted():
     for command in ("curve", "density"):
         ns = build_parser().parse_args([command, "--grid-points", str(GRID_POINTS_MAX)])
         assert config_from_args(ns).options["grid_points"] == GRID_POINTS_MAX
-
-
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["point", "--snr", "3"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["point", "curve", "density", "limits"])
-def test_workers_flag_is_validate_only(command):
-    # only the simulator runs threads; elsewhere the flag is unknown
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--workers", "4"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("flag, value", [("--scheme", "cc-noma"), ("--regime", "tin"),
-                                         ("--J", "20"), ("--B", "2"), ("--c-buf", "4"),
-                                         ("--L", "50")])
-def test_validate_rejects_the_parameters_its_oracle_does_not_read(flag, value):
-    # the oracle checks CC-NOMA at J = T * users_per_slot; B, c_buf and L are unused
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", flag, value])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["limits", "validate"])
-def test_format_flag_is_for_point_and_curves_only(command):
-    # limits and validate print text only; the flag is unknown to them
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--format", "json"])
-    assert exc.value.code == 2
 
 
 def test_format_in_a_config_is_ignored_by_limits(tmp_path, capsys):
@@ -541,25 +283,6 @@ def test_output_dir_env_var_anchors_relative_paths(tmp_path, monkeypatch, capsys
     absolute = tmp_path / "abs.txt"
     assert main(["point", *REF_ARGS, "--output", str(absolute)]) == 0
     assert absolute.is_file()
-
-
-@pytest.mark.parametrize("where", ["empty", "directory", "config"])
-def test_unwritable_output_exits_2_with_one_error_line(where, tmp_path, monkeypatch, capsys):
-    # "" resolves to the working directory; like a directory it cannot be
-    # written as a file, from a flag or from an `output =` config line
-    monkeypatch.delenv("HARQSCALE_OUT_DIR", raising=False)
-    monkeypatch.chdir(tmp_path)
-    if where == "config":
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("output =\n")
-        argv = ["--config", str(cfg)]
-    else:
-        argv = ["--output", "" if where == "empty" else str(tmp_path)]
-    assert main(["point", *REF_ARGS, *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "output" in captured.err
 
 
 # ------------------------------------------------------------------ validate
@@ -624,55 +347,6 @@ def test_validate_fail_exits_3(capsys):
     assert out.strip().endswith("FAIL")
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv", [["--rho", "1e-170"], ["--rho", "1e100", "--sigma2", "1e100"]],
-                         ids=["underflow", "overflow"])
-def test_validate_out_of_range_power_exits_2_naming_rho_sigma2(argv, capsys):
-    # the estimate squares the signal and residual powers: at rho*sigma2 = 1e-170
-    # a square underflows to 0, at 1e200 the residual power overflows
-    assert main(["validate", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "rho*sigma2" in captured.err
-
-
-def test_validate_half_width_underflow_exits_2_naming_rho_sigma2(capsys):
-    # noise-limited: the half-width's numerator scales like (rho*sigma2)^3 and
-    # underflows before the division at rho*sigma2 = 1e-110
-    assert main(["validate", "--rho", "1e-110"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "rho*sigma2" in captured.err and "half-width" in captured.err
-
-
-def test_validate_constant_residual_exits_2_naming_rho_sigma2(capsys):
-    # interference-limited: at rho*sigma2 = 1e70 the filtered noise is below
-    # the last bit of the interference, so every trial gives the same
-    # residual power and the half-width would be 0.0
-    assert main(["validate", "--rho", "1e70"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "rho*sigma2" in captured.err and "same residual power" in captured.err
-
-
-def test_validate_negative_seed_exits_2_naming_seed(capsys):
-    assert main(["validate", "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "seed" in captured.err
-
-
-def test_validate_rejects_inconsistent_monte_carlo_knobs(capsys):
-    assert main(["validate", "--trials", "0"]) == 2
-    assert main(["validate", "--m", "3", "--users-per-slot", "5"]) == 2
-    err = capsys.readouterr().err
-    assert "m=" in err or "m " in err
-
-
 # ------------------------------------------------------------------ lazy imports
 
 _SRC = str(Path(harqscale.__file__).resolve().parent.parent)
@@ -690,28 +364,24 @@ def _imports(*args: str, timeout: float = 60) -> tuple[subprocess.CompletedProce
 
 
 _CLI = ("-m", "harqscale.cli")
+_DEFERRED = {"numpy", "statistics", "harqscale.simulate"}
 
 
-@pytest.mark.parametrize("args, code, loaded", [
-    (("-c", "import harqscale"), 0, set()),
-    (("-c", "import harqscale.cli"), 0, set()),
-    ((*_CLI, "point"), 0, set()),
-    ((*_CLI, "limits", "--scheme", "ir-oma", "--regime", "tin", "--T", "2", "--J", "4"), 0, set()),
-    ((*_CLI, "--help"), 0, set()),
-    ((*_CLI, "point", "--rho", "0"), 2, set()),
-    ((*_CLI, "limits", "--c-buf", "0"), 2, set()),
-    ((*_CLI, "validate", "--trials", "0"), 2, set()),
-    ((*_CLI, "curve", "--grid-max", "inf"), 2, set()),
-    ((*_CLI, "curve"), 0, {"numpy"}),
-    ((*_CLI, "validate"), 0, {"numpy", "harqscale.simulate"}),
-], ids=["import", "import-cli", "point", "limits", "help", "point-rho-0", "limits-c-buf-0",
-        "validate-trials-0", "curve-grid-max-inf", "curve", "validate"])
-def test_which_commands_load_numpy_and_the_simulator(args, code, loaded):
+@pytest.mark.parametrize("args, loaded", [
+    (("-c", "import harqscale"), set()),
+    (("-c", "import harqscale.cli"), set()),
+    ((*_CLI, "point"), set()),
+    ((*_CLI, "limits", "--scheme", "ir-oma", "--regime", "tin", "--T", "2", "--J", "4"), set()),
+    ((*_CLI, "--help"), set()),
+    ((*_CLI, "curve"), {"numpy"}),
+    ((*_CLI, "validate"), {"numpy", "harqscale.simulate"}),
+], ids=["import", "import-cli", "point", "limits", "help", "curve", "validate"])
+def test_which_commands_load_numpy_and_the_simulator(args, loaded):
     # curve and validate load them, so the import log does list what is imported;
     # statistics loads only on closedform.qinv's first call, which no command makes
     proc, modules = _imports(*args)
-    assert proc.returncode == code
-    assert modules & {"numpy", "statistics", "harqscale.simulate"} == loaded
+    assert proc.returncode == 0
+    assert modules & _DEFERRED == loaded
 
 
 def test_lazy_simulate_names_resolve_and_unknown_names_raise():
@@ -747,3 +417,182 @@ def test_validate_calls_a_wrapper_set_on_the_cli_module(capsys):
         setattr(harqscale.cli, "simulate_cc_noma_sinr", original)
     assert calls == [300]
     assert "estimate=" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------ rejected inputs
+
+REF = " ".join(REF_ARGS)
+
+# a rate that rounds to 0 ends in a ZeroDivisionError traceback (exit 1) until
+# the evaluator names it; then these rows pass and the mark goes
+_RATE_ROUNDS_TO_0 = pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                                      reason="ROADMAP direction 1")
+
+
+def _rejected(row_id, command, *needles, cfg=None, absent=(), marks=()):
+    """A ``REJECTED`` row. The command is split as a shell splits it; ``{cfg}``
+    in it or in a needle is the config file's path, and the file holds ``cfg``
+    (not written when None). A needle that ends in the newline is the whole line."""
+    return pytest.param(command, cfg, needles, absent, id=row_id, marks=marks)
+
+
+REJECTED = [
+    *(_rejected(f"config-{key}-outside-choices", f"{command} --config {{cfg}}", key,
+                cfg=f"{key} = bogus\n")
+      for command, key in [("point", "scheme"), ("point", "regime"), ("point", "format"),
+                           ("curve", "grid_scale"), ("validate", "mode")]),
+    *(_rejected(f"config-{row_id}", "point --config {cfg}", needle, cfg=cfg)
+      for row_id, needle, cfg in [("unreadable", "{cfg}", None),
+                                  ("line-without-equals", "{cfg}:3", "# model\nrho = 1.0\nT 2\n"),
+                                  ("unknown-key", "bandwidth", "rho = 1.0\nbandwidth = 5\n"),
+                                  ("malformed-value", "rho", "rho = fast\n")]),
+    _rejected("rho-negative", "point --rho -3", "rho"),
+    _rejected("J-below-T", "point --T 2 --J 1", "J"),
+    _rejected("rho-inf", "point --rho inf", "rho"),
+    _rejected("L-inf", "density --L inf --T 2 --scheme cc-noma", "L"),
+    # J*rho overflows: IR-OMA's refinement noise is inf/inf (se = nan), and
+    # the classical and CC-OMA sum-optimal rates are inf (ebn0 = nan)
+    *(_rejected(f"not-finite-{scheme}",
+                f"point --scheme {scheme} --regime sum --T 2 --J 1e200 --rho 1e200{extra}",
+                "not finite")
+      for scheme, extra in [("ir-oma", " --c-buf inf"), ("classical", ""), ("cc-oma", "")]),
+    # rho * sigma2 rounds to 0, so ebn0 = 0 and its dB value is log10(0)
+    _rejected("snr-per-bit-underflow", "point --rho 0.1 --sigma2 5e-324", "rho", "sigma2"),
+    # (J/T - 1)**2 in the CC-NOMA SINR overflows float; the limits floor reads
+    # the SINR at rho = 1, a value this command never gave
+    *(_rejected(f"sinr-overflow-{row_id}", f"{command} --scheme cc-noma --J 1e200",
+                "J = 1e+200", absent=("rho",))
+      for row_id, command in [("sum", "point --regime sum"), ("tin", "point --regime tin"),
+                              ("limits-sum", "limits --regime sum --rho 0.5")]),
+    # P_tot = J*sigma2*rho overflows to inf on the fixed-total-power path, or
+    # underflows to 0, whose dB value would be log10(0)
+    _rejected("limits-inf-cc-noma-sum",
+              "limits --scheme cc-noma --regime sum --rho 1e300 --J 1e10 --sigma2 1e10",
+              "not finite", "rho", "sigma2"),
+    _rejected("limits-inf-classical-tin",
+              "limits --scheme classical --regime tin --T 1 --rho 1e300 --J 1e300",
+              "not finite", "rho", "sigma2"),
+    _rejected("limits-zero-cc-noma-sum",
+              "limits --scheme cc-noma --regime sum --rho 1e-200 --J 1 --sigma2 1e-200",
+              "underflows to 0", "rho", "sigma2"),
+    *(_rejected(f"{command}-{name}-beyond-float", f"{command} --{name} {10**400}",
+                f"error: {name} ")
+      for command, name in [("point", "T"), ("point", "B"), ("validate", "T")]),
+    # inside float range; T * trials is past its bound
+    _rejected("validate-T-beyond-index", f"validate --T {10**300}", "error: T "),
+    _rejected("validate-T-times-trials", "validate --T 1 --trials 1000001",
+              "error: T * trials must be <= 1000000, got 1 * 1000001\n"),
+    # 2**(2*c_buf/(h*B)) rounds to 1, so the refinement noise would divide by 0
+    *(_rejected(f"ir-buffer-tiny-{regime}",
+                f"point --scheme ir-oma --regime {regime} --T 2 --J 4 --c-buf 1e-300",
+                "c_buf = 1e-300")
+      for regime in ("sum", "tin")),
+    _rejected("grid-points-1", f"curve {REF} --grid-points 1", "grid"),
+    _rejected("grid-min-above-max", f"curve {REF} --grid-min 5 --grid-max 1", "grid"),
+    # non-finite bounds are refused before any grid is built
+    _rejected("grid-max-inf", f"curve {REF} --grid-max inf", "error: grid bounds must be finite"),
+    _rejected("grid-min-minus-inf", f"curve {REF} --grid-scale linear --grid-min=-inf "
+              "--grid-max 1", "error: grid bounds must be finite"),
+    # "" resolves to the working directory; like a directory it cannot be
+    # written as a file, from a flag or from an `output =` config line
+    _rejected("output-empty", f"point {REF} --output ''", "output"),
+    _rejected("output-directory", f"point {REF} --output .", "output"),
+    _rejected("output-config", f"point {REF} --config {{cfg}}", "output", cfg="output =\n"),
+    # the estimate squares the signal and residual powers: at rho*sigma2 = 1e-170
+    # a square underflows to 0, at 1e200 the residual power overflows
+    _rejected("validate-power-underflow", "validate --rho 1e-170", "rho*sigma2"),
+    _rejected("validate-power-overflow", "validate --rho 1e100 --sigma2 1e100", "rho*sigma2"),
+    # noise-limited: the half-width's numerator scales like (rho*sigma2)^3 and
+    # underflows before the division at rho*sigma2 = 1e-110
+    _rejected("validate-half-width-0", "validate --rho 1e-110", "rho*sigma2", "half-width"),
+    # interference-limited: at rho*sigma2 = 1e70 the filtered noise is below the
+    # last bit of the interference, so every trial gives the same residual
+    # power and the half-width would be 0.0
+    _rejected("validate-constant-residual", "validate --rho 1e70",
+              "rho*sigma2", "same residual power"),
+    _rejected("validate-seed-negative", "validate --seed -1", "seed"),
+    _rejected("validate-trials-0", "validate --trials 0", "trials"),
+    _rejected("validate-m-below-users", "validate --m 3 --users-per-slot 5", "m="),
+    *(_rejected(f"rate-rounds-to-0-{row_id}", command, "rho", marks=_RATE_ROUNDS_TO_0)
+      for row_id, command in [
+          ("cc-noma-tin", "point --scheme cc-noma --regime tin --rho 1e-20"),
+          ("classical-sum", "point --scheme classical --regime sum --rho 1e-17"),
+          ("limits-ir-oma-tin", "limits --scheme ir-oma --regime tin --rho 1e-20 --T 2 --J 4")]),
+]
+
+
+@pytest.mark.parametrize("command, cfg, needles, absent", REJECTED)
+def test_rejected_input_exits_2_with_one_error_line(command, cfg, needles, absent, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HARQSCALE_OUT_DIR", raising=False)
+    path = tmp_path / "run.cfg"
+    if cfg is not None:
+        path.write_text(cfg)
+    assert main([arg.replace("{cfg}", str(path)) for arg in shlex.split(command)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for needle in needles:
+        assert needle.replace("{cfg}", str(path)) in captured.err
+    for word in absent:
+        assert word not in captured.err
+
+
+# (command, the start of its error line; a start that ends in the newline is the whole line)
+REJECTED_BEFORE_WORK = [
+    # unbounded, these run for hours or run out of memory
+    pytest.param("point --scheme ir-oma --regime tin --T 10000000000 --J 1e10", "T ",
+                 id="point-ir-oma-tin-T-1e10"),
+    pytest.param(f"validate --T {2**62}", "T ", id="validate-T-2**62"),
+    pytest.param("validate --T 100000000 --trials 10", "T ", id="validate-T-1e8"),
+    # unbounded, these run for seconds or allocate their full size
+    pytest.param("validate --mode amplitude --T 1000 --trials 1000 --users-per-slot 11",
+                 "T * users_per_slot * trials must be <= 10000000, got 1000 * 11 * 1000\n",
+                 id="validate-phases"),
+    pytest.param("validate --mode amplitude --T 10000 --trials 1 --users-per-slot 11",
+                 "T * users_per_slot must be <= 100000, got 10000 * 11\n", id="validate-frame"),
+    *(pytest.param(f"validate --m {m}", f"m must be <= 1024, got {m}\n", id=row_id)
+      for row_id, m in [("validate-m", 1025), ("validate-huge-m", 10**12)]),
+    # unbounded, 10**13 points asks numpy for 73 TiB
+    *(pytest.param(f"{command} --grid-points {points}",
+                   f"grid_points must be in 2..{GRID_POINTS_MAX} for curves, got {points}\n",
+                   id=f"{command}-grid-points-{points_id}")
+      for command in ("curve", "density")
+      for points, points_id in [(GRID_POINTS_MAX + 1, "bound+1"), (10**13, "huge")]),
+    pytest.param("point --rho 0", "rho = 0 ", id="point-rho-0"),
+    pytest.param("limits --c-buf 0", "c_buf ", id="limits-c-buf-0"),
+    pytest.param("validate --trials 0", "trials ", id="validate-trials-0"),
+    pytest.param("curve --grid-max inf", "grid bounds must be finite", id="curve-grid-max-inf"),
+]
+
+
+@pytest.mark.parametrize("command, text", REJECTED_BEFORE_WORK)
+def test_rejected_before_any_work_in_a_child(command, text):
+    proc, modules = _imports(*_CLI, *shlex.split(command), timeout=10)
+    err = "".join(line + "\n" for line in proc.stderr.splitlines()
+                  if not line.startswith("import time:"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert err.startswith("error: " + text) and err.count("\n") == 1
+    assert not modules & _DEFERRED
+
+
+NOT_TAKEN = [
+    "point --snr 3",
+    # only the simulator runs threads; elsewhere the flag is unknown
+    *(f"{command} --workers 4" for command in ("point", "curve", "density", "limits")),
+    # the oracle checks CC-NOMA at J = T * users_per_slot; B, c_buf and L are unused
+    *(f"validate {flag}" for flag in ("--scheme cc-noma", "--regime tin", "--J 20", "--B 2",
+                                      "--c-buf 4", "--L 50")),
+    # limits and validate print text only
+    "limits --format json",
+    "validate --format json",
+]
+
+
+@pytest.mark.parametrize("command", NOT_TAKEN)
+def test_flag_the_command_does_not_take_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(command))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
