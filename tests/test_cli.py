@@ -423,17 +423,28 @@ def test_validate_calls_a_wrapper_set_on_the_cli_module(capsys):
 
 REF = " ".join(REF_ARGS)
 
-# a rate that rounds to 0 ends in a ZeroDivisionError traceback (exit 1) until
-# the evaluator names it; then these rows pass and the mark goes
-_RATE_ROUNDS_TO_0 = pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                                      reason="ROADMAP direction 1")
-
-
 def _rejected(row_id, command, *needles, cfg=None, absent=(), marks=()):
-    """A ``REJECTED`` row. The command is split as a shell splits it; ``{cfg}``
-    in it or in a needle is the config file's path, and the file holds ``cfg``
-    (not written when None). A needle that ends in the newline is the whole line."""
+    """A row of ``REJECTED`` or ``REJECTED_BEFORE_WORK``. ``{cfg}`` in the command or a
+    needle is the config file's path; the file holds ``cfg`` (not written when None).
+    A needle that starts ``error: `` starts the line; ending in the newline, it is the line."""
     return pytest.param(command, cfg, needles, absent, id=row_id, marks=marks)
+
+
+def _argv(command, cfg, tmp_path):
+    path = tmp_path / "run.cfg"
+    if cfg is not None:
+        path.write_text(cfg)
+    return [arg.replace("{cfg}", str(path)) for arg in shlex.split(command)]
+
+
+def _assert_refused(code, out, err, needles, absent, tmp_path):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for needle in needles:
+        needle = needle.replace("{cfg}", str(tmp_path / "run.cfg"))
+        assert err.startswith(needle) if needle.startswith("error: ") else needle in err
+    for word in absent:
+        assert word not in err
 
 
 REJECTED = [
@@ -490,7 +501,6 @@ REJECTED = [
     _rejected("grid-points-1", f"curve {REF} --grid-points 1", "grid"),
     _rejected("grid-min-above-max", f"curve {REF} --grid-min 5 --grid-max 1", "grid"),
     # non-finite bounds are refused before any grid is built
-    _rejected("grid-max-inf", f"curve {REF} --grid-max inf", "error: grid bounds must be finite"),
     _rejected("grid-min-minus-inf", f"curve {REF} --grid-scale linear --grid-min=-inf "
               "--grid-max 1", "error: grid bounds must be finite"),
     # "" resolves to the working directory; like a directory it cannot be
@@ -511,9 +521,11 @@ REJECTED = [
     _rejected("validate-constant-residual", "validate --rho 1e70",
               "rho*sigma2", "same residual power"),
     _rejected("validate-seed-negative", "validate --seed -1", "seed"),
-    _rejected("validate-trials-0", "validate --trials 0", "trials"),
     _rejected("validate-m-below-users", "validate --m 3 --users-per-slot 5", "m="),
-    *(_rejected(f"rate-rounds-to-0-{row_id}", command, "rho", marks=_RATE_ROUNDS_TO_0)
+    # a rate that rounds to 0 ends in a ZeroDivisionError traceback (exit 1) until
+    # the evaluator names it; then these rows pass and the mark goes
+    *(_rejected(f"rate-rounds-to-0-{row_id}", command, "rho", marks=pytest.mark.xfail(
+          strict=True, raises=ZeroDivisionError, reason="ROADMAP direction 1"))
       for row_id, command in [
           ("cc-noma-tin", "point --scheme cc-noma --regime tin --rho 1e-20"),
           ("classical-sum", "point --scheme classical --regime sum --rho 1e-17"),
@@ -526,54 +538,43 @@ def test_rejected_input_exits_2_with_one_error_line(command, cfg, needles, absen
                                                     monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HARQSCALE_OUT_DIR", raising=False)
-    path = tmp_path / "run.cfg"
-    if cfg is not None:
-        path.write_text(cfg)
-    assert main([arg.replace("{cfg}", str(path)) for arg in shlex.split(command)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    for needle in needles:
-        assert needle.replace("{cfg}", str(path)) in captured.err
-    for word in absent:
-        assert word not in captured.err
+    code = main(_argv(command, cfg, tmp_path))
+    _assert_refused(code, *capsys.readouterr(), needles, absent, tmp_path)
 
 
-# (command, the start of its error line; a start that ends in the newline is the whole line)
 REJECTED_BEFORE_WORK = [
     # unbounded, these run for hours or run out of memory
-    pytest.param("point --scheme ir-oma --regime tin --T 10000000000 --J 1e10", "T ",
-                 id="point-ir-oma-tin-T-1e10"),
-    pytest.param(f"validate --T {2**62}", "T ", id="validate-T-2**62"),
-    pytest.param("validate --T 100000000 --trials 10", "T ", id="validate-T-1e8"),
+    _rejected("point-ir-oma-tin-T-1e10",
+              "point --scheme ir-oma --regime tin --T 10000000000 --J 1e10", "error: T "),
+    _rejected("validate-T-2**62", f"validate --T {2**62}", "error: T "),
+    _rejected("validate-T-1e8", "validate --T 100000000 --trials 10", "error: T "),
     # unbounded, these run for seconds or allocate their full size
-    pytest.param("validate --mode amplitude --T 1000 --trials 1000 --users-per-slot 11",
-                 "T * users_per_slot * trials must be <= 10000000, got 1000 * 11 * 1000\n",
-                 id="validate-phases"),
-    pytest.param("validate --mode amplitude --T 10000 --trials 1 --users-per-slot 11",
-                 "T * users_per_slot must be <= 100000, got 10000 * 11\n", id="validate-frame"),
-    *(pytest.param(f"validate --m {m}", f"m must be <= 1024, got {m}\n", id=row_id)
+    _rejected("validate-phases",
+              "validate --mode amplitude --T 1000 --trials 1000 --users-per-slot 11",
+              "error: T * users_per_slot * trials must be <= 10000000, got 1000 * 11 * 1000\n"),
+    _rejected("validate-frame",
+              "validate --mode amplitude --T 10000 --trials 1 --users-per-slot 11",
+              "error: T * users_per_slot must be <= 100000, got 10000 * 11\n"),
+    *(_rejected(row_id, f"validate --m {m}", f"error: m must be <= 1024, got {m}\n")
       for row_id, m in [("validate-m", 1025), ("validate-huge-m", 10**12)]),
     # unbounded, 10**13 points asks numpy for 73 TiB
-    *(pytest.param(f"{command} --grid-points {points}",
-                   f"grid_points must be in 2..{GRID_POINTS_MAX} for curves, got {points}\n",
-                   id=f"{command}-grid-points-{points_id}")
+    *(_rejected(f"{command}-grid-points-{points_id}", f"{command} --grid-points {points}",
+                f"error: grid_points must be in 2..{GRID_POINTS_MAX} for curves, got {points}\n")
       for command in ("curve", "density")
       for points, points_id in [(GRID_POINTS_MAX + 1, "bound+1"), (10**13, "huge")]),
-    pytest.param("point --rho 0", "rho = 0 ", id="point-rho-0"),
-    pytest.param("limits --c-buf 0", "c_buf ", id="limits-c-buf-0"),
-    pytest.param("validate --trials 0", "trials ", id="validate-trials-0"),
-    pytest.param("curve --grid-max inf", "grid bounds must be finite", id="curve-grid-max-inf"),
+    _rejected("point-rho-0", "point --rho 0", "error: rho = 0 "),
+    _rejected("limits-c-buf-0", "limits --c-buf 0", "error: c_buf "),
+    _rejected("validate-trials-0", "validate --trials 0", "error: trials "),
+    _rejected("curve-grid-max-inf", "curve --grid-max inf", "error: grid bounds must be finite"),
 ]
 
 
-@pytest.mark.parametrize("command, text", REJECTED_BEFORE_WORK)
-def test_rejected_before_any_work_in_a_child(command, text):
-    proc, modules = _imports(*_CLI, *shlex.split(command), timeout=10)
+@pytest.mark.parametrize("command, cfg, needles, absent", REJECTED_BEFORE_WORK)
+def test_rejected_before_any_work_in_a_child(command, cfg, needles, absent, tmp_path):
+    proc, modules = _imports(*_CLI, *_argv(command, cfg, tmp_path), timeout=10)
     err = "".join(line + "\n" for line in proc.stderr.splitlines()
                   if not line.startswith("import time:"))
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert err.startswith("error: " + text) and err.count("\n") == 1
+    _assert_refused(proc.returncode, proc.stdout, err, needles, absent, tmp_path)
     assert not modules & _DEFERRED
 
 

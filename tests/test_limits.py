@@ -103,7 +103,7 @@ def test_cc_noma_tin_floor_attained_at_vanishing_snr():
     assert rel(evaluate(Scheme.CC_NOMA, Regime.TIN, p).ebn0_linear, floor) < 1e-2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP direction 2")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP direction 2")
 def test_tin_snr_per_bit_never_falls_below_the_published_floor():
     # log(1.0 + sinr) keeps only the digits of sinr that survive the sum: at
     # rho = 1.3e-16 both give Eb/N0 = 0.4058 against a floor of ln2 = 0.6931
