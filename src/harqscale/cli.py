@@ -11,13 +11,16 @@ Subcommands
 and runs J = T * users_per_slot transmissions.  A config file of ``key =
 value`` lines (--config) can supply any flag, keyed by the flag name with
 ``_`` for ``-``; a command checks every key, uses those it takes, and lets
-flags override them.  Both are declared once, in ``OPTIONS``.  Relative
---output paths are placed under $HARQSCALE_OUT_DIR when that is set; tables
-go to stdout when no --output is given.  The simulator (and numpy) loads only
-when ``validate`` runs; ``curve`` and ``density`` load numpy for their grids.
+flags override them.  Both are declared once, in ``OPTIONS``, and a flag's
+text is typed and choice-checked by the rule a config value is: argparse only
+splits argv.  Relative --output paths are placed under $HARQSCALE_OUT_DIR when
+that is set; tables go to stdout when no --output is given.  The simulator
+(and numpy) loads only when ``validate`` runs; ``curve`` and ``density`` load
+numpy for their grids.
 
-Exit codes: 0 success (validation passed), 2 bad flag/config/parameter or an
-evaluation error, 3 validation failure.
+Exit codes: 0 success (validation passed, or --help/--version), 2 bad
+flag/config/parameter or an evaluation error, 3 validation failure.  Every
+refusal, argparse's included, is one ``error:`` line on stderr with exit 2.
 """
 
 from __future__ import annotations
@@ -91,8 +94,13 @@ _VALIDATE_DEFAULTS = {"eta": 0.1, "T": 2}
 RunConfig = namedtuple("RunConfig", "command scheme regime params options")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main prints it as every other refusal; subparsers inherit
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harqscale",
         description="SE / SNR-per-bit / user-density scaling laws for "
         "HARQ random-access uplinks",
@@ -104,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="FILE", help="key = value config file")
         for key, opt in OPTIONS.items():
             if command in opt.commands:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
-                               choices=opt.choices, metavar=opt.metavar)
+                # the choices as argparse would print them; _merged checks them
+                p.add_argument("--" + key.replace("_", "-"), dest=key, metavar=opt.metavar
+                               or (opt.choices and "{" + ",".join(opt.choices) + "}"))
     return parser
 
 
@@ -136,21 +145,19 @@ def _merged(ns: argparse.Namespace) -> dict:
     if ns.command == "validate":
         merged.update(_VALIDATE_DEFAULTS)
     for key, opt in OPTIONS.items():
-        if key in file_vals:
+        # a flag exists only for a command that takes it, and is read last to win
+        for source, text in (("config", file_vals.get(key)), ("flag", getattr(ns, key, None))):
+            if text is None:
+                continue
             try:
-                value = opt.type(file_vals[key])
+                value = opt.type(text)
             except ValueError as exc:
-                raise ConfigError(f"config: bad value for {key}: {file_vals[key]!r}") from exc
+                raise ConfigError(f"{source}: bad value for {key}: {text!r}") from exc
             if opt.choices and value not in opt.choices:
-                raise ConfigError(
-                    f"config: bad value for {key}: {file_vals[key]!r} "
-                    f"(choose from {', '.join(opt.choices)})"
-                )
+                raise ConfigError(f"{source}: bad value for {key}: {text!r} "
+                                  f"(choose from {', '.join(opt.choices)})")
             if ns.command in opt.commands:
                 merged[key] = value
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            merged[key] = flag
     return merged
 
 
@@ -174,10 +181,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     elif ns.command == "density" and m["J"] < m["T"]:
         # density sweeps J: keep the unused base value compatible with T
         m["J"] = float(m["T"])
-    try:
-        params = SchemeParams(**{name: m.pop(name) for name in _PARAM_DEFAULTS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = SchemeParams(**{name: m.pop(name) for name in _PARAM_DEFAULTS})
     # make_grid checks the bounds; only a curve needs a second point
     if ns.command in _CURVES and not 2 <= m["grid_points"] <= GRID_POINTS_MAX:
         raise ConfigError(f"grid_points must be in 2..{GRID_POINTS_MAX} for curves, "
@@ -296,9 +300,8 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
-        return run(config_from_args(ns))
+        return run(config_from_args(build_parser().parse_args(argv)))
     except (HarqScaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,13 @@
 """Command-line interface tests, driven in-process through main(argv); the
 import tests run the CLI in a fresh interpreter.
 
-Every input the CLI refuses is a row of one of three tables, whose test states
-the contract once:
+Every input the CLI refuses, argparse's refusals included, is a row of one of
+two tables, whose test states the contract once:
 
 - ``REJECTED``: in process, exit 2, nothing on stdout and one ``error:`` line
   that holds the row's needles and none of its excluded words.
 - ``REJECTED_BEFORE_WORK``: in a child under a 10 s deadline, the same exit and
   line, refused before numpy, statistics or the simulator is imported.
-- ``NOT_TAKEN``: a flag the command does not take, refused by argparse (exit 2).
 """
 
 import json
@@ -25,7 +24,7 @@ import pytest
 import harqscale
 import harqscale.cli
 from harqscale import Regime, Scheme, SchemeParams, evaluate, make_grid, se_curve
-from harqscale.cli import GRID_POINTS_MAX, build_parser, config_from_args, main
+from harqscale.cli import GRID_POINTS_MAX, OPTIONS, build_parser, config_from_args, main
 from harqscale.tables import CSV_HEADER
 
 REF_ARGS = ["--scheme", "cc-noma", "--regime", "sum", "--rho", "1", "--T", "2",
@@ -347,6 +346,24 @@ def test_validate_fail_exits_3(capsys):
     assert out.strip().endswith("FAIL")
 
 
+# ------------------------------------------------------------------ help
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  *([command, "--help"] for command in
+                                    ("point", "curve", "density", "limits", "validate"))],
+                         ids=" ".join)
+def test_help_and_version_exit_0_and_show_each_options_choices(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.out and captured.err == ""
+    # _merged checks the choices; the help still prints them as argparse did
+    for key, opt in OPTIONS.items():
+        if argv[0] in opt.commands and opt.choices:
+            assert f"--{key.replace('_', '-')} {{{','.join(opt.choices)}}}" in captured.out
+
+
 # ------------------------------------------------------------------ lazy imports
 
 _SRC = str(Path(harqscale.__file__).resolve().parent.parent)
@@ -447,16 +464,44 @@ def _assert_refused(code, out, err, needles, absent, tmp_path):
         assert word not in err
 
 
+def _twins(row_id, command, key, text, *needles):
+    """The same bad value from a config file and from a flag: both are refused by
+    one rule, whose line names the source, the key and the quoted text."""
+    flag = f"--{key.replace('_', '-')} {text}"
+    return [_rejected(f"{source}-{row_id}", f"{command} {args}",
+                      f"error: {source}: bad value for {key}: {text!r}", *needles, cfg=cfg)
+            for source, args, cfg in [("config", "--config {cfg}", f"{key} = {text}\n"),
+                                      ("flag", flag, None)]]
+
+
 REJECTED = [
-    *(_rejected(f"config-{key}-outside-choices", f"{command} --config {{cfg}}", key,
-                cfg=f"{key} = bogus\n")
-      for command, key in [("point", "scheme"), ("point", "regime"), ("point", "format"),
-                           ("curve", "grid_scale"), ("validate", "mode")]),
+    *(row for command, key in [("point", "scheme"), ("point", "regime"), ("point", "format"),
+                               ("curve", "grid_scale"), ("validate", "mode")]
+      for row in _twins(f"{key}-outside-choices", command, key, "bogus", "(choose from ")),
+    *_twins("malformed-value", "point", "rho", "fast"),
+    *_twins("T-not-an-integer", "point", "T", "2.5"),
     *(_rejected(f"config-{row_id}", "point --config {cfg}", needle, cfg=cfg)
       for row_id, needle, cfg in [("unreadable", "{cfg}", None),
                                   ("line-without-equals", "{cfg}:3", "# model\nrho = 1.0\nT 2\n"),
-                                  ("unknown-key", "bandwidth", "rho = 1.0\nbandwidth = 5\n"),
-                                  ("malformed-value", "rho", "rho = fast\n")]),
+                                  ("unknown-key", "bandwidth", "rho = 1.0\nbandwidth = 5\n")]),
+    # argparse's own refusals, sent to main's one error line
+    _rejected("flag-without-value", "point --rho",
+              "error: argument --rho: expected one argument\n"),
+    _rejected("no-command", "", "error: the following arguments are required: command\n"),
+    _rejected("unknown-command", "frobnicate",
+              "error: argument command: invalid choice: 'frobnicate' "),
+    # a flag the command does not take
+    *(_rejected(f"{command}-takes-no-{flag.split()[0][2:]}", f"{command} {flag}",
+                f"error: unrecognized arguments: {flag}\n")
+      for command, flag in [
+          ("point", "--snr 3"),
+          # only the simulator runs threads; elsewhere the flag is unknown
+          *((command, "--workers 4") for command in ("point", "curve", "density", "limits")),
+          # the oracle checks CC-NOMA at J = T * users_per_slot; B, c_buf and L are unused
+          *(("validate", flag) for flag in ("--scheme cc-noma", "--regime tin", "--J 20",
+                                            "--B 2", "--c-buf 4", "--L 50")),
+          # limits and validate print text only
+          ("limits", "--format json"), ("validate", "--format json")]),
     _rejected("rho-negative", "point --rho -3", "rho"),
     _rejected("J-below-T", "point --T 2 --J 1", "J"),
     _rejected("rho-inf", "point --rho inf", "rho"),
@@ -566,6 +611,10 @@ REJECTED_BEFORE_WORK = [
     _rejected("limits-c-buf-0", "limits --c-buf 0", "error: c_buf "),
     _rejected("validate-trials-0", "validate --trials 0", "error: trials "),
     _rejected("curve-grid-max-inf", "curve --grid-max inf", "error: grid bounds must be finite"),
+    # refused by argparse and by the typing rule, on the installed console path
+    _rejected("point-takes-no-snr", "point --snr 3", "error: unrecognized arguments: --snr 3\n"),
+    _rejected("flag-malformed-value", "point --rho fast",
+              "error: flag: bad value for rho: 'fast'\n"),
 ]
 
 
@@ -576,24 +625,3 @@ def test_rejected_before_any_work_in_a_child(command, cfg, needles, absent, tmp_
                   if not line.startswith("import time:"))
     _assert_refused(proc.returncode, proc.stdout, err, needles, absent, tmp_path)
     assert not modules & _DEFERRED
-
-
-NOT_TAKEN = [
-    "point --snr 3",
-    # only the simulator runs threads; elsewhere the flag is unknown
-    *(f"{command} --workers 4" for command in ("point", "curve", "density", "limits")),
-    # the oracle checks CC-NOMA at J = T * users_per_slot; B, c_buf and L are unused
-    *(f"validate {flag}" for flag in ("--scheme cc-noma", "--regime tin", "--J 20", "--B 2",
-                                      "--c-buf 4", "--L 50")),
-    # limits and validate print text only
-    "limits --format json",
-    "validate --format json",
-]
-
-
-@pytest.mark.parametrize("command", NOT_TAKEN)
-def test_flag_the_command_does_not_take_exits_2(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(shlex.split(command))
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
