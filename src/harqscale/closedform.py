@@ -22,11 +22,19 @@ and IR-OMA's slot SINRs are written in matching shapes (same operand order),
 and :func:`rate_function` applies one accounting per regime to the first
 (TIN energy ratio in the reduced form ``T*sigma2*rho / log2(1+sinr)``).  Keep
 that alignment when editing.
+
+Each rate form is written once and takes either floats or numpy arrays for
+(rho, J): a sweep evaluates its whole grid as one column, and gets the bits
+the float call gives.  So a square of rho or J is :func:`_sq`, libm ``pow``
+on both paths (numpy's ``x ** 2`` is ``x * x``, which differs in the last
+bit), and a log maps ``math.log`` over a column's values (``np.log`` differs
+too).  Float calls never import numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateRate, InvalidSlot, UnsupportedCombination
@@ -35,9 +43,35 @@ from .params import Regime, Scheme, SchemeParams
 _LN2 = math.log(2.0)
 
 
-def _log2(x: float) -> float:
+def _numpy_of(x):
+    """numpy when ``x`` is a numpy array (a sweep's column), else None; numpy
+    is loaded whenever an array exists, so a float call never imports it.
+    Callers answer a float's case first, without this call: the float calls
+    are the per-value ones."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
+
+
+def _sq(x):
+    # libm pow for a float and for each value of a column
+    np = None if type(x) is float else _numpy_of(x)
+    return x ** 2 if np is None else np.float_power(x, 2.0)
+
+
+def _mapped(log, x):
+    # math.log or math.log10 of a float, or of each value of a column
+    np = None if type(x) is float else _numpy_of(x)
+    return log(x) if np is None else np.fromiter(map(log, x.tolist()), float, x.size)
+
+
+def _log2(x):
     # Base-2 logs are natural log over ln 2 everywhere, for consistency.
-    return math.log(x) / _LN2
+    return _mapped(math.log, x) / _LN2
+
+
+def decibels(x):
+    """10*log10 of a float, or of each value of a numpy array, unchecked."""
+    return 10.0 * _mapped(math.log10, x)
 
 
 @dataclass(frozen=True)
@@ -62,7 +96,7 @@ def _db(ebn0: float) -> float:
         raise DegenerateRate(f"the SNR per bit is not finite ({ebn0!r}): {_TOO_LARGE}")
     if ebn0 == 0.0:
         raise DegenerateRate("the SNR per bit underflows to 0: rho or sigma2 is too small")
-    return 10.0 * math.log10(ebn0)
+    return decibels(ebn0)
 
 
 def checked_db(se: float, ebn0: float) -> float:
@@ -92,18 +126,19 @@ def total_power(params: SchemeParams) -> float:
 
 def _sinr_form(scheme: Scheme, regime: Regime, T: int, eta: float):
     # The combined-channel SINR as a function of (rho, J), the one place each
-    # form is written; a squared term that overflows raises OverflowError.
+    # form is written; a squared term that overflows raises OverflowError on
+    # floats and is inf in a column.
     if regime is Regime.SUM_OPTIMAL:
         if scheme is Scheme.CLASSICAL:
             return lambda rho, J: rho * J / T
         if scheme is Scheme.CC_NOMA:
-            return lambda rho, J: rho * T * (1.0 + eta**2 * (J / T - 1.0) ** 2)
+            return lambda rho, J: rho * T * (1.0 + eta**2 * _sq(J / T - 1.0))
         if scheme is Scheme.CC_OMA:
             return lambda rho, J: rho * T * (1.0 + (1.0 / T) * (J / T - 1.0))
     elif scheme is Scheme.CLASSICAL:
         return lambda rho, J: rho / (rho * (J / T - 1.0) + 1.0)
     elif scheme is Scheme.CC_NOMA:
-        return lambda rho, J: rho * T**2 / (T + rho * eta**2 * (J - T) ** 2)
+        return lambda rho, J: rho * T**2 / (T + rho * eta**2 * _sq(J - T))
     elif scheme is Scheme.CC_OMA:
         return lambda rho, J: rho * T / (rho * (J / T - 1.0) + 1.0)
     raise UnsupportedCombination(f"no combined-channel SINR form for {scheme.value}")
@@ -144,9 +179,12 @@ def _ir_quant_form(regime: Regime, p: SchemeParams, horizon: int):
     if regime is Regime.SUM_OPTIMAL:
         return lambda rho, J: B * (J * rho / B + 1.0) * sigma2 / grow
 
-    def tin(rho: float, J: float) -> float:
+    def tin(rho, J):
         value = B * (rho / B + 1.0) * sigma2 / grow - (J / horizon - 1.0) * rho * sigma2
-        return 0.0 if value <= 0.0 else value
+        np = None if type(value) is float else _numpy_of(value)
+        if np is None:
+            return 0.0 if value <= 0.0 else value
+        return np.where(value <= 0.0, 0.0, value)
     return tin
 
 
@@ -189,6 +227,13 @@ def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float
     return (p.B / 2.0) * _log2(1.0 + (p.J * p.rho + p.B) * p.sigma2 / sigma_q2)
 
 
+def _check_rho_nonzero(rho) -> None:
+    # a column's zeros are the caller's to flag: a sweep takes them through
+    # the float call, which raises here
+    if (type(rho) is float or _numpy_of(rho) is None) and rho == 0.0:
+        raise DegenerateRate(_RHO_ZERO)
+
+
 def _ir_oma_rate(regime: Regime, p: SchemeParams):
     """Incremental redundancy over T orthogonal attempts.
 
@@ -205,9 +250,8 @@ def _ir_oma_rate(regime: Regime, p: SchemeParams):
     # at T = 1 the one slot is the final one
     quant = _ir_quant_form(regime, p, T - 1) if T > 1 else lambda rho, J: 0.0
 
-    def rate(rho: float, J: float) -> tuple[float, float]:
-        if rho == 0.0:
-            raise DegenerateRate(_RHO_ZERO)
+    def rate(rho, J):
+        _check_rho_nonzero(rho)
         refine = _log2(1.0 + slot_sinr(rho, J, quant(rho, J)))
         final = _log2(1.0 + slot_sinr(rho, J, 0.0))
         bits_total = 0.0
@@ -229,7 +273,9 @@ def rate_function(scheme: Scheme, regime: Regime, params: SchemeParams):
     and ebn0 = T*sigma2*rho/bits.  Sum-optimal: se = bits/2 and
     ebn0 = J*sigma2*rho/bits, times T for classical (per-attempt energy).
     rho = 0 makes the ratio 0/0 and raises DegenerateRate, and so does an SINR
-    that overflows; :func:`checked_db` checks the result.
+    that overflows; :func:`checked_db` checks the result.  Given numpy arrays
+    it returns arrays, with no per-value check: an overflow or a zero rate
+    leaves a non-finite value there, and a zero rho a NaN.
     """
     if scheme is Scheme.IR_OMA:
         return _ir_oma_rate(regime, params)
@@ -238,9 +284,8 @@ def rate_function(scheme: Scheme, regime: Regime, params: SchemeParams):
     tin = regime is Regime.TIN
     attempts = T if scheme is Scheme.CLASSICAL else 1  # x * 1 is x to the bit
 
-    def rate(rho: float, J: float) -> tuple[float, float]:
-        if rho == 0.0:
-            raise DegenerateRate(_RHO_ZERO)
+    def rate(rho, J):
+        _check_rho_nonzero(rho)
         try:
             bits = _log2(1.0 + sinr(rho, J))
         except OverflowError as exc:

@@ -31,15 +31,25 @@ class Regime(Enum):
 T_MAX = 10_000
 
 
+def rho_in_range(rho):
+    """The rule for ``rho``, finite and >= 0, as a bool, or as a mask of a
+    numpy array's values (``SchemeParams`` and rho sweeps)."""
+    return (0 <= rho) & (rho < math.inf)
+
+
+def J_in_range(J, T: int):
+    """The rule for ``J``, finite and >= T, as a bool, or as a mask of a
+    numpy array's values (``SchemeParams`` and J sweeps)."""
+    return (T <= J) & (J < math.inf)
+
+
 def check_rho(rho: float) -> None:
-    """The rule for ``rho``: finite and >= 0 (``SchemeParams`` and rho sweeps)."""
-    if not 0 <= rho < math.inf:
+    if not rho_in_range(rho):
         raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
 
 
 def check_J(J: float, T: int) -> None:
-    """The rule for ``J``: finite and >= T (``SchemeParams`` and J sweeps)."""
-    if not T <= J < math.inf:
+    if not J_in_range(J, T):
         raise ValueError(f"J must be finite and >= T ({T}), got {J!r}")
 
 

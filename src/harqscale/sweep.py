@@ -3,12 +3,18 @@
 A curve is an ordered list of points swept over rho (or over J for density
 curves, in which case the point's ``rho`` field carries the J that produced
 it).  Each curve builds its rate function (``closedform.rate_function``) once,
-with every fixed parameter bound; each grid value is checked with the rule
-``SchemeParams`` applies to the swept field (``check_rho`` or ``check_J``),
-then evaluated, and its result checked like a ``Metrics``.  A value that fails
-any of these (e.g. rho = 0) is skipped and counted, never emitted as NaN; a
-curve where nothing survived raises EmptyCurve.  numpy is imported by
-``make_grid`` only, on first use, once its arguments are checked.
+with every fixed parameter bound, and evaluates the whole grid with it as
+numpy columns; every number a point holds is a Python float.
+
+A grid value that fails a rule is skipped and counted, never emitted as NaN:
+the rule ``SchemeParams`` applies to the swept field (``rho_in_range`` or
+``J_in_range``), rho = 0, and the checks ``checked_db`` makes on a result.
+A value takes its numbers from the columns only when it passes every rule
+there (its se is finite and its SNR per bit finite and > 0); each other
+value is evaluated alone, by the float call, in grid order.  So the skip
+count, and any error that escapes, are the float call's.  A curve where
+nothing survived raises EmptyCurve.  numpy is imported on a curve's or
+``make_grid``'s first use, once its arguments are checked.
 """
 
 from __future__ import annotations
@@ -16,11 +22,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 
-from .closedform import checked_db, rate_function
+from .closedform import checked_db, decibels, rate_function
 from .closedform import evaluate  # noqa: F401  (bench/spans.py wraps this name when tracing)
 from .errors import EmptyCurve, GridMismatch, HarqScaleError
-from .params import Regime, Scheme, SchemeParams, check_J, check_rho
+from .params import J_in_range, Regime, Scheme, SchemeParams, rho_in_range
 
 
 @dataclass(frozen=True)
@@ -60,46 +67,69 @@ def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[fl
     return tuple(space(lo, hi, points).tolist())
 
 
-def _check_ascending(grid: Sequence[float], name: str) -> tuple[float, ...]:
-    grid = tuple(float(g) for g in grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"{name} grid must be strictly ascending, got {grid!r}")
-    return grid
-
-
 def _sweep(
     scheme: Scheme,
     regime: Regime,
     params: SchemeParams,
-    grid: tuple[float, ...],
+    grid: Sequence[float],
     sweep_var: str,
-    check: "callable[[float], None]",
+    in_range: "callable",
     y_divisor: float,
 ) -> Curve:
+    import numpy as np
+
+    grid = tuple(map(float, grid))
+    values = np.array(grid, dtype=float)
+    if (values[1:] <= values[:-1]).any():
+        raise ValueError(f"{sweep_var} grid must be strictly ascending, got {grid!r}")
     rate = rate_function(scheme, regime, params)
     by_rho = sweep_var == "rho"
     rho, J = params.rho, params.J
-    points: list[CurvePoint] = []
-    skipped = 0
-    for value in grid:
-        try:
-            check(value)
-            se, ebn0 = rate(value, J) if by_rho else rate(rho, value)
-            db = checked_db(se, ebn0)
-        except (HarqScaleError, ValueError):
-            skipped += 1
+    # se and ebn0 of each value, NaN where it fails the field rule or rho = 0
+    se = np.full(values.size, math.nan)
+    ebn0 = se.copy()
+    ok = in_range(values) & ((values != 0.0) if by_rho else (rho != 0.0))
+    if ok.any():
+        with np.errstate(all="ignore"):
+            try:
+                se[ok], ebn0[ok] = rate(values[ok], J) if by_rho else rate(rho, values[ok])
+            except (HarqScaleError, ValueError, ArithmeticError):
+                pass  # each value is evaluated alone below
+    # what checked_db accepts (se finite, ebn0 finite and not 0), and ebn0 > 0
+    # so that no log10 fails
+    keep = np.isfinite(se) & (0.0 < ebn0) & (ebn0 < math.inf)
+    db = np.full(values.size, math.nan)
+    db[keep] = decibels(ebn0[keep])
+    for i in np.flatnonzero(~keep).tolist():
+        value = grid[i]
+        if not in_range(value):
             continue
-        # built without the frozen __init__: a curve builds one per grid value
+        try:
+            se_i, ebn0_i = rate(value, J) if by_rho else rate(rho, value)
+            db[i] = checked_db(se_i, ebn0_i)
+        except (HarqScaleError, ValueError):
+            continue
+        se[i], ebn0[i], keep[i] = se_i, ebn0_i, True
+    n_points = int(np.count_nonzero(keep))
+    if not n_points:
+        raise EmptyCurve(f"every {sweep_var} grid point errored ({values.size} skipped)")
+    # the grid's own objects: curve_to_json reuses their repr
+    rhos = grid if n_points == values.size else compress(grid, keep.tolist())
+    ys = se[keep] / y_divisor  # se / 1.0 is se to the bit
+    points = []
+    for x, y, r, lin in zip(db[keep].tolist(), ys.tolist(), rhos, ebn0[keep].tolist()):
+        # built without the frozen __init__: a curve builds one per grid
+        # value.  Each is filled before the next is made: records made all at
+        # once, as a process's first, would not share their class's dict keys
+        # and would take twice the memory
         record = object.__new__(CurvePoint)
         attrs = record.__dict__
-        attrs["x_ebn0_db"] = db
-        attrs["y"] = se / y_divisor  # se / 1.0 is se to the bit
-        attrs["rho"] = value  # the grid's own object: curve_to_json reuses its repr
-        attrs["ebn0_linear"] = ebn0
+        attrs["x_ebn0_db"] = x
+        attrs["y"] = y
+        attrs["rho"] = r
+        attrs["ebn0_linear"] = lin
         points.append(record)
-    if not points:
-        raise EmptyCurve(f"every {sweep_var} grid point errored ({skipped} skipped)")
-    return Curve(scheme, regime, params, sweep_var, tuple(points), grid, skipped)
+    return Curve(scheme, regime, params, sweep_var, tuple(points), grid, values.size - n_points)
 
 
 def se_curve(
@@ -109,8 +139,7 @@ def se_curve(
     rho_grid: Sequence[float],
 ) -> Curve:
     """Spectral efficiency against SNR per bit, swept over rho."""
-    grid = _check_ascending(rho_grid, "rho")
-    return _sweep(scheme, regime, params, grid, "rho", check_rho, 1.0)
+    return _sweep(scheme, regime, params, rho_grid, "rho", rho_in_range, 1.0)
 
 
 def density_curve(
@@ -123,8 +152,8 @@ def density_curve(
 
     Swept over the user count J at fixed rho.
     """
-    grid = _check_ascending(j_grid, "J")
-    return _sweep(scheme, regime, params, grid, "J", lambda j: check_J(j, params.T), params.L)
+    return _sweep(scheme, regime, params, j_grid, "J", lambda j: J_in_range(j, params.T),
+                  params.L)
 
 
 def min_ebn0(curve: Curve) -> tuple[float, float]:

@@ -1,20 +1,26 @@
 """Delimited-table serialization of curves.
 
-One rule formats every number of either table: ``repr``, which round-trips
-exactly, and in JSON the non-finite reprs as NaN, Infinity and -Infinity.
+One rule formats every number of either table, the one ``json.dumps``
+applies: ``float.__repr__`` for a float (a float subclass such as
+``numpy.float64`` included), which round-trips exactly, ``repr`` for anything
+else, and in JSON the non-finite reprs as NaN, Infinity and -Infinity.
 Output is locale-independent: '.' decimal separator, '\\n' line ends, keys
 sorted in JSON.  The JSON text is exactly ``json.dumps(doc, sort_keys=True,
-indent=2)`` of the curve's document, but written from a fixed per-point
-template rather than by that call.  Each point's floats are formatted once
-per curve and shared by both writers, so writing a curve to CSV and then to
-JSON (or the reverse, or twice) formats them once; JSON's grid reuses the
-rho of each point a grid value produced and formats only the skipped values.
-Every byte of either output is what formatting them anew gives.
+indent=2)`` of the curve's document, but not written by that call: each
+writer lays its table out as one flat list of pieces, literal text and
+numbers in turn, and makes the text with one ``"".join``.  Each point's
+numbers are formatted once per curve and shared by both writers, so writing
+a curve to CSV and then to JSON (or the reverse, or twice) formats them
+once; JSON's grid reuses the rho of each point a grid value produced and
+formats only the skipped values.  Every byte of either output is what
+formatting them anew gives.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress, repeat
+from operator import attrgetter, is_
 
 from .sweep import Curve
 
@@ -24,57 +30,66 @@ CSV_HEADER = "sweep_var,rho_or_J,ebn0_db,ebn0_linear,se_or_density"
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _point_reprs(curve: Curve) -> list[str]:
-    """``repr`` of each point's rho, ebn0_db, ebn0_linear and y, flat, in that order.
+def _number(value) -> str:
+    # json.dumps's rule, with the JSON spelling of the non-finite values left out
+    return float.__repr__(value) if isinstance(value, float) else repr(value)
+
+
+def _point_numbers(curve: Curve) -> tuple[list[str], ...]:
+    """The points' rho, ebn0_db, ebn0_linear and y as ``_number`` writes
+    them: four columns, in that order.
 
     Formatted on first use and kept in the curve's instance dict, which the
     dataclass's ==, repr, hash, asdict and replace never read.  The curve and
-    its points are frozen, so the list cannot go stale.
+    its points are frozen, so the columns cannot go stale.
     """
-    reprs = curve.__dict__.get("_point_reprs")
-    if reprs is None:
-        reprs = [
-            f"{v!r}" for p in curve.points for v in (p.rho, p.x_ebn0_db, p.ebn0_linear, p.y)
-        ]
-        curve.__dict__["_point_reprs"] = reprs
-    return reprs
+    columns = curve.__dict__.get("_point_numbers")
+    if columns is None:
+        # an exact float takes the f-string, the fastest call of its repr
+        columns = tuple(
+            [f"{v!r}" if type(v) is float else _number(v) for v in map(field, curve.points)]
+            for field in map(attrgetter, ("rho", "x_ebn0_db", "ebn0_linear", "y"))
+        )
+        curve.__dict__["_point_numbers"] = columns
+    return columns
 
 
 def curve_to_csv(curve: Curve) -> str:
-    sweep_var = curve.sweep_var
-    it = iter(_point_reprs(curve))
-    lines = [CSV_HEADER]
-    lines += [f"{sweep_var},{r},{db},{lin},{y}" for r, db, lin, y in zip(it, it, it, it)]
-    return "\n".join(lines) + "\n"
-
-
-def _json_list(items: list[str]) -> str:
-    """A list of already-encoded items, laid out as a top-level key's value."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n  ]"
+    rho, db, lin, y = _point_numbers(curve)
+    # per point the sweep variable and its four numbers, each after a separator
+    pieces = [f"\n{curve.sweep_var},", "", ",", "", ",", "", ",", ""] * len(rho)
+    pieces[1::8], pieces[3::8], pieces[5::8], pieces[7::8] = rho, db, lin, y
+    pieces.insert(0, CSV_HEADER)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def _json_grid(curve: Curve, rho_numbers: list[str]) -> list[str]:
     """Each grid value as json writes it, given the points' rho as json writes them.
 
-    Grid and points are walked together: a grid value that produced a point
-    is the point's own ``rho`` object (``_sweep`` stores it), so its number is
-    the point's, formatted once.  ``is``, not ``==``: one object has one repr,
-    while 0.0 == -0.0.  The other grid values (skipped ones, or any in a
-    curve not built by ``_sweep``) are formatted here by the same rule.
+    A grid value that is a point's own ``rho`` object (``_sweep`` stores the
+    grid's objects) takes that point's number, formatted once: ``is``, not
+    ``==``, since one object has one repr, while 0.0 == -0.0.  The other grid
+    values (skipped ones, or any in a curve not built by ``_sweep``) are
+    formatted here by the same rule.
     """
-    numbers = []
-    pairs = zip([p.rho for p in curve.points], rho_numbers)
-    rho, number = next(pairs, (None, None))
-    for g in curve.grid:
-        if g is rho:
-            numbers.append(number)
-            rho, number = next(pairs, (None, None))
-        else:
-            text = f"{g!r}"
-            numbers.append(_JSON_NON_FINITE.get(text, text))
+    by_id = dict(zip(map(id, map(attrgetter("rho"), curve.points)), rho_numbers))
+    numbers = list(map(by_id.get, map(id, curve.grid)))
+    # the grid values no point holds
+    for i in list(compress(range(len(numbers)), map(is_, numbers, repeat(None)))):
+        text = _number(curve.grid[i])
+        numbers[i] = _JSON_NON_FINITE.get(text, text)
     return numbers
+
+
+def _json_list(pieces: list[str]) -> list[str]:
+    """A top-level key's list value, from its items' pieces: each item's
+    first piece starts with the ',' that parts it from the one before."""
+    if not pieces:
+        return ["[]"]
+    pieces[0] = "[" + pieces[0][1:]
+    pieces.append("\n  ]")
+    return pieces
 
 
 def curve_to_json(curve: Curve, version: str) -> str:
@@ -92,21 +107,20 @@ def curve_to_json(curve: Curve, version: str) -> str:
         "skipped": curve.skipped,
         "version": version,
     }
-    reprs = _point_reprs(curve)
-    numbers = list(map(_JSON_NON_FINITE.get, reprs, reprs))
-    grid = ["    " + g for g in _json_grid(curve, numbers[0::4])]
-    it = iter(numbers)
+    columns = _point_numbers(curve)
+    if not all(map(_JSON_NON_FINITE.keys().isdisjoint, columns)):
+        columns = [list(map(_JSON_NON_FINITE.get, c, c)) for c in columns]
+    rho, db, lin, y = columns
+    grid = [",\n    ", ""] * len(curve.grid)
+    grid[1::2] = _json_grid(curve, rho)
     # one point of the "points" list, keys in sorted order, at the depth and
     # indent json.dumps(..., sort_keys=True, indent=2) gives it
-    points = [
-        f'    {{\n      "ebn0_db": {db},\n      "ebn0_linear": {lin},\n'
-        f'      "rho": {r},\n      "y": {y}\n    }}'
-        for r, db, lin, y in zip(it, it, it, it)
-    ]
-    return (
-        '{\n  "grid": ' + _json_list(grid)
-        + ',\n  "meta": ' + json.dumps(meta, sort_keys=True, indent=2).replace("\n", "\n  ")
-        + ',\n  "points": ' + _json_list(points)
-        + ',\n  "sweep_var": ' + json.dumps(curve.sweep_var)
-        + "\n}\n"
-    )
+    points = [',\n    {\n      "ebn0_db": ', "", ',\n      "ebn0_linear": ', "",
+              ',\n      "rho": ', "", ',\n      "y": ', "", "\n    }"] * len(rho)
+    points[1::9], points[3::9], points[5::9], points[7::9] = db, lin, rho, y
+    return "".join([
+        '{\n  "grid": ', *_json_list(grid),
+        ',\n  "meta": ', json.dumps(meta, sort_keys=True, indent=2).replace("\n", "\n  "),
+        ',\n  "points": ', *_json_list(points),
+        ',\n  "sweep_var": ', json.dumps(curve.sweep_var), "\n}\n",
+    ])

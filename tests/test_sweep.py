@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import harqscale.sweep
-from harqscale.closedform import rate_function
+from harqscale.closedform import _log2, _sq, decibels, rate_function
 from harqscale import (
     Curve,
     CurvePoint,
@@ -222,6 +222,70 @@ def test_se_curve_is_evaluate_bit_for_bit(scheme, regime, params, grid):
 def test_density_curve_is_evaluate_bit_for_bit(scheme, regime, params, grid):
     assert_sweep_is_evaluate_bitwise(density_curve, "J", lambda m: m.se / params.L,
                                      scheme, regime, params, grid)
+
+
+# dense grids: the sweep evaluates a grid as numpy columns, which the
+# properties above exercise on at most 12 values; these hold 2,001 and more
+DENSE_GRIDS = {
+    "rho": {"log": make_grid(1e-3, 1e2, 2001), "lin0": make_grid(0.0, 100.0, 2001, "linear")},
+    # J < T, and J = 1e160 and 1e200, whose squares overflow
+    "J": {"log": make_grid(1.0, 1e3, 2001) + (1e160, 1e200),
+          "lin0": make_grid(0.0, 1e3, 2001, "linear") + (1e160, 1e200)},
+}
+
+
+def assert_dense_sweep_is_evaluate(curve_fn, sweep_var, y_of, scheme, regime, params, grid):
+    """The sweep is evaluate value by value, and every point holds Python
+    floats, with its rho the grid's own object, in grid order."""
+    assert_sweep_is_evaluate_bitwise(curve_fn, sweep_var, y_of, scheme, regime, params, grid)
+    try:
+        curve = curve_fn(scheme, regime, params, grid)
+    except (ZeroDivisionError, EmptyCurve):
+        return  # and so does evaluate: checked above
+    grid_objects = iter(grid)
+    for p in curve.points:
+        assert all(type(v) is float for v in vars(p).values())
+        assert any(p.rho is g for g in grid_objects)
+
+
+@pytest.mark.parametrize("T", [1, 2, 8])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_dense_curves_are_evaluate_bit_for_bit(scheme, regime, T):
+    for grid in DENSE_GRIDS["rho"].values():
+        params = SchemeParams(rho=1.0, T=T, J=20.0, eta=0.3, c_buf=10.0)
+        assert_dense_sweep_is_evaluate(se_curve, "rho", lambda m: m.se,
+                                       scheme, regime, params, grid)
+    for grid in DENSE_GRIDS["J"].values():
+        params = SchemeParams(rho=1.0, T=T, J=float(T), eta=0.3, c_buf=10.0)
+        assert_dense_sweep_is_evaluate(density_curve, "J", lambda m: m.se / params.L,
+                                       scheme, regime, params, grid)
+
+
+def test_a_column_is_squared_and_logged_as_each_float_is():
+    # numpy's x ** 2 is x * x, and np.log is not math.log: on about 800 of
+    # these values each differs from the float call in the last bit
+    import numpy as np
+
+    column = np.random.default_rng(0).uniform(0.0, 1e3, 100_000)
+    for form in (_sq, _log2, decibels):
+        assert form(column).tolist() == [form(v) for v in column.tolist()]
+
+
+@pytest.mark.parametrize("tiny_rho", [(), (1e-20,)], ids=["", "rho-1e-20"])
+@pytest.mark.parametrize("c_buf", [10.0, 1e-300])
+@pytest.mark.parametrize("T", [1, 2, 8])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_grid_mixing_good_and_failing_values_follows_the_float_rule(
+        scheme, regime, T, c_buf, tiny_rho):
+    # rho = -1.0, inf and nan fail the rho rule and rho = 0 makes 0/0;
+    # c_buf = 1e-300 leaves IR-OMA at T >= 2 no buffer growth, and CC-NOMA
+    # TIN's rate at rho = 1e-20 rounds to 0
+    grid = (-1.0, 0.0, *tiny_rho, *make_grid(1e-3, 1e2, 500), math.inf, math.nan)
+    params = SchemeParams(rho=1.0, T=T, J=20.0, eta=0.3, c_buf=c_buf)
+    assert_dense_sweep_is_evaluate(se_curve, "rho", lambda m: m.se,
+                                   scheme, regime, params, grid)
 
 
 def test_a_rate_that_rounds_to_zero_escapes_the_sweep():

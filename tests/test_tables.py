@@ -175,3 +175,23 @@ def test_skipped_non_finite_and_signed_zero_grid_values_are_written_as_json_does
     assert curve_to_csv(curve) == reference_csv(curve)
     assert '"grid": [\n    -Infinity,\n    -1.0,\n    -0.0,\n    0.5,\n    2.0,\n' \
            '    Infinity,\n    NaN\n  ]' in text
+
+
+def test_numpy_floats_are_written_as_the_equal_python_floats():
+    # numpy.float64 is a float subclass whose repr is "np.float64(2.0)";
+    # json.dumps writes it with float.__repr__, and so do both writers
+    import numpy as np
+
+    def curve_of(number):
+        grid = tuple(map(number, (0.5, 1.0, 2.0, math.nan)))
+        points = (
+            CurvePoint(number(-3.0), number(0.25), grid[0], number(0.5)),
+            CurvePoint(number(1e-300), number(math.inf), grid[2], number(2.0)),
+        )
+        return Curve(Scheme.CLASSICAL, Regime.TIN, SchemeParams(), "rho", points, grid, 2)
+
+    numpy_curve, float_curve = curve_of(np.float64), curve_of(float)
+    assert curve_to_csv(numpy_curve) == curve_to_csv(float_curve)
+    text = curve_to_json(numpy_curve, VERSION)
+    assert text == curve_to_json(float_curve, VERSION) == reference_json(numpy_curve, VERSION)
+    assert json.loads(text)["grid"][:3] == [0.5, 1.0, 2.0]
