@@ -82,13 +82,16 @@ class SchemeParams:
     L: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("T", "B"):
-            raw = getattr(self, name)
+        # c_buf is left out: an int beyond float range is an unbounded buffer,
+        # as c_buf = inf is
+        for name in ("rho", "T", "J", "sigma2", "B", "L"):
             try:
-                finite = math.isfinite(raw)
+                math.isfinite(getattr(self, name))
             except OverflowError:  # an int beyond float range
                 raise ValueError(f"{name} is too large for float arithmetic") from None
-            if not finite or raw != int(raw):
+        for name in ("T", "B"):
+            raw = getattr(self, name)
+            if not math.isfinite(raw) or raw != int(raw):
                 raise ValueError(f"{name} must be an integer, got {raw!r}")
             object.__setattr__(self, name, int(raw))
         check_rho(self.rho)

@@ -28,7 +28,12 @@ thread.  Worker threads take chunks: runs of whole blocks, laid out by
 reduced together, each trial by the same expressions in any chunk.  A chunk
 writes its own slice of the per-trial residual-power array, and the mean and
 variance are numpy's pairwise sums over that whole array, so results are
-bitwise identical for any worker count.
+bitwise identical for any worker count.  With n workers, worker i takes
+chunks i, i + n, i + 2n, ...; worker 0 is the calling thread, and the others
+are threads kept between calls, one pool per thread count, each started
+with all its threads on first use.  A forked child drops the pools it
+inherits (their threads do not exist in it) and starts its own.  A call
+with one chunk, or one worker, starts no thread.
 
 The amplitude-level check of the orthogonal-combining noise-power expansion
 (:func:`verify_cc_oma_noise_expansion`) is a separate model.  It draws each
@@ -40,8 +45,11 @@ from one generator read in order, on one thread.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import sys
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -62,6 +70,24 @@ _BLOCK = 256
 # check's chunks hold as many float64 phasor pairs.
 _CHUNK_BYTES = 2**18
 _NORMAL_MIN = sys.float_info.min
+
+
+@functools.cache
+def _pool(n: int) -> ThreadPoolExecutor:
+    """``n`` threads that help the simulator's calling thread, kept for
+    every later call."""
+    pool = ThreadPoolExecutor(max_workers=n)
+    # The executor starts a thread only when none is idle; tasks that wait
+    # for one another make it start all n now, so no later call starts one.
+    barrier = threading.Barrier(n)
+    for task in [pool.submit(barrier.wait) for _ in range(n)]:
+        task.result()
+    return pool
+
+
+# a forked child has none of the parent's threads, so a pool it inherits
+# would queue its tasks forever
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def make_equicorrelated_signatures(m: int, J: int, eta: float) -> np.ndarray:
@@ -110,8 +136,9 @@ def simulate_cc_noma_sinr(
     is the trial-independent T*rho*sigma2; everything else (coherent
     cross-correlations plus filtered noise) is the residual.  The estimate is
     (T*rho*sigma2)^2 over the mean residual power, with a delta-method
-    confidence half-width.  ``workers`` threads share out the chunks of
-    256-trial blocks; the result is the same for any value.
+    confidence half-width.  ``workers`` threads, the calling thread among
+    them, share out the chunks of 256-trial blocks; the result is the same
+    for any value.
     """
     if len(active_per_slot) != T:
         raise ValueError(f"active_per_slot has {len(active_per_slot)} slots, expected T={T}")
@@ -161,16 +188,27 @@ def simulate_cc_noma_sinr(
             np.random.default_rng(children[k]).standard_normal(out=draws[b0:b0 + _BLOCK])
         draws *= scale
         z = draws.view(complex)[..., 0]  # (chunk, T, |support|) complex noise
-        residual = clean_residual + a * (z @ filt).sum(axis=1)
+        residual = (z @ filt).sum(axis=1)
+        residual *= a
+        residual += clean_residual
+        power = res_power[lo:hi]
         with np.errstate(over="ignore"):  # an overflow is reported below, by name
-            res_power[lo:hi] = residual.real**2 + residual.imag**2
+            np.square(residual.real, out=power)
+            power += np.square(residual.imag)
 
-    if workers == 1:
-        for c in range(n_chunks):
+    n_workers = min(workers, n_chunks)
+
+    def run_chunks(first: int) -> None:
+        for c in range(first, n_chunks, n_workers):
             run_chunk(c)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
+
+    # the calling thread is worker 0; n_workers - 1 pool threads help it
+    helpers = [_pool(n_workers - 1).submit(run_chunks, i) for i in range(1, n_workers)]
+    try:
+        run_chunks(0)
+    finally:
+        for helper in helpers:
+            helper.result()
 
     with np.errstate(over="ignore"):
         mean_res = float(np.sum(res_power)) / trials
@@ -252,8 +290,13 @@ def _relative_phase_power(weights: np.ndarray, trials: int, seed: int) -> np.nda
             psi *= np.float32(2.0 * math.pi)
             c = np.cos(psi).astype(float)
             s = np.sin(psi).astype(float)
-            inv = 1.0 / np.sqrt(c * c + s * s)
-            re, im = (c * inv) @ weights, (s * inv) @ weights
+            inv = c * c
+            inv += s * s
+            np.sqrt(inv, out=inv)
+            np.divide(1.0, inv, out=inv)
+            c *= inv
+            s *= inv
+            re, im = c @ weights, s @ weights
             power[lo:lo + re.size] = re * re + im * im
     return power
 

@@ -513,6 +513,10 @@ def test_qinv_round_trips_through_tail_probability():
         (dict(L=float("inf")), "L"),
         (dict(T=10**400), "T"),
         (dict(B=10**400), "B"),
+        (dict(rho=10**400), "^rho is too large for float arithmetic$"),
+        (dict(J=10**400), "^J is too large for float arithmetic$"),
+        (dict(sigma2=10**400), "^sigma2 is too large for float arithmetic$"),
+        (dict(L=10**400), "^L is too large for float arithmetic$"),
     ],
 )
 def test_invalid_parameters_name_the_offender(kwargs, needle):

@@ -4,7 +4,12 @@ the closed forms, determinism, and the amplitude-level noise-expansion check
 against the absolute-phase model written out in full."""
 
 import math
+import os
+import signal
 import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +277,59 @@ def test_sinr_random_streams_are_frozen(name, T, active, trials, mean_hex, half_
     assert est.half_width_95 == float.fromhex(half_hex)
 
 
+# a run of three chunks at T = 4, eta = 0.1, so that workers=2 uses two threads
+POOLED = (make_equicorrelated_signatures(16, 5, 0.1), 1.0, 1.0, 4, [range(5)] * 4, 0, 5000, 2)
+
+
+def test_worker_threads_are_kept_between_calls(monkeypatch):
+    first = simulate_cc_noma_sinr(*POOLED, workers=2)
+    threads = threading.active_count()
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    for _ in range(3):
+        assert simulate_cc_noma_sinr(*POOLED, workers=2) == first
+    # one worker, or one chunk (T = 1, eta = 0: one support coordinate, so
+    # 10^4 trials fit one chunk), starts no thread
+    assert simulate_cc_noma_sinr(*POOLED, workers=1) == first
+    one_chunk = make_equicorrelated_signatures(16, 5, 0.0)
+    for workers in (1, 2):
+        simulate_cc_noma_sinr(one_chunk, 1.0, 1.0, 1, [range(5)], 0, 10_000, 2, workers)
+    assert started == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_the_simulator_on_worker_threads():
+    # the child inherits the parent's pool but none of its threads; a task
+    # queued on that pool would never run, so a deadlock fails within 10 s
+    want = simulate_cc_noma_sinr(*POOLED, workers=2)
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock
+        # the child, the case under test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if simulate_cc_noma_sinr(*POOLED, workers=2) == want else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 10.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's workers=2 call did not return within 10 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_sinr_half_width_is_calibrated_across_seeds():
     # the spread of the estimate over 60 seeds must match the standard error
     # each run reports; blocks that shared or overlapped random streams would
@@ -380,6 +438,24 @@ def test_noise_expansion_needs_occupied_slots_and_trials():
 def test_noise_expansion_per_slot_amplitudes():
     err = verify_cc_oma_noise_expansion((1.0, 2.0), (4, 3), 0.5, 20_000, seed=3)
     assert err < 0.05
+
+
+# the relative deviation as float.hex, recorded from the float32-phase
+# sampler: a change to the draws, the phasors' normalisation or the order of
+# the reductions moves these bits, so any such change is a data change
+FROZEN_AMPLITUDE = [
+    (1.0, (5, 5), 1.0, 10_000, 0, "0x1.468fed48d399ap-11"),
+    # w = 36 phasors a trial, the last chunk a partial one
+    (1.0, [10] * 4, 1.0, 10_000, 1, "0x1.1196bf0327e66p-8"),
+    ((1.0, 2.0), (4, 3), 0.5, 2_001, 3, "0x1.9e78e56beec29p-6"),
+    (3.0, [1, 6, 2], 0.25, 5_000, 11, "0x1.e66a842958439p-6"),
+]
+
+
+@pytest.mark.parametrize("amps, counts, sigma2, trials, seed, err_hex", FROZEN_AMPLITUDE)
+def test_noise_expansion_random_streams_are_frozen(amps, counts, sigma2, trials, seed, err_hex):
+    err = verify_cc_oma_noise_expansion(amps, counts, sigma2, trials, seed)
+    assert err == float.fromhex(err_hex)
 
 
 def absolute_phase_cross_power(amps, counts, trials: int, rng) -> np.ndarray:
