@@ -223,6 +223,8 @@ def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float
     noise power; composing this with :func:`ir_quant_noise` is the identity
     (up to roundoff) whenever the noise was not clamped.
     """
+    if not sigma_q2 > 0:
+        raise ValueError(f"sigma_q2 must be > 0, got {sigma_q2!r}")
     p = params
     return (p.B / 2.0) * _log2(1.0 + (p.J * p.rho + p.B) * p.sigma2 / sigma_q2)
 
@@ -323,9 +325,9 @@ def fbl_rate(sinr: float, n: float, epsilon: float) -> float:
     Normal approximation: capacity minus the dispersion penalty
     sqrt(V/(2n)) * Qinv(epsilon), floored at zero.
     """
-    if sinr < 0:
+    if not sinr >= 0:
         raise ValueError(f"sinr must be >= 0, got {sinr!r}")
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if sinr == 0.0:
         return 0.0

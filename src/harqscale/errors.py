@@ -12,7 +12,8 @@ class DegenerateRate(HarqScaleError):
 class DegenerateResidual(HarqScaleError):
     """rho*sigma2 is too small or too large for the Monte-Carlo SINR estimate:
     the square of a power it divides by is not a finite normal float, or the
-    filtered noise is too small to change any trial's residual power."""
+    filtered noise is too small to change any trial's residual power.  Or an
+    amplitude is out of the float range of the noise-expansion check."""
 
 
 class InvalidSlot(HarqScaleError):

@@ -53,6 +53,21 @@ def check_J(J: float, T: int) -> None:
         raise ValueError(f"J must be finite and >= T ({T}), got {J!r}")
 
 
+def check_sigma2(sigma2: float) -> None:
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and > 0, got {sigma2!r}")
+
+
+def check_T(T: int) -> None:
+    if not 1 <= T <= T_MAX:
+        raise ValueError(f"T must be in 1..{T_MAX}, got {T!r}")
+
+
+def check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Common parameters for all access schemes.
@@ -95,13 +110,10 @@ class SchemeParams:
                 raise ValueError(f"{name} must be an integer, got {raw!r}")
             object.__setattr__(self, name, int(raw))
         check_rho(self.rho)
-        if not 0 < self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
-        if not 1 <= self.T <= T_MAX:
-            raise ValueError(f"T must be in 1..{T_MAX}, got {self.T!r}")
+        check_sigma2(self.sigma2)
+        check_T(self.T)
         check_J(self.J, self.T)
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")
+        check_eta(self.eta)
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B!r}")
         if not self.c_buf > 0:

@@ -58,7 +58,7 @@ import numpy as np
 
 from .closedform import combined_sinr
 from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall, UnsupportedCombination
-from .params import Regime, Scheme
+from .params import Regime, Scheme, check_eta, check_rho, check_sigma2, check_T
 
 # Trials per block: one generator, so one slice of the random streams.
 # Fixed, so that the streams depend on neither the worker count nor the
@@ -138,8 +138,11 @@ def simulate_cc_noma_sinr(
     (T*rho*sigma2)^2 over the mean residual power, with a delta-method
     confidence half-width.  ``workers`` threads, the calling thread among
     them, share out the chunks of 256-trial blocks; the result is the same
-    for any value.
+    for any value.  rho, sigma2 and T follow the rules of ``SchemeParams``.
     """
+    check_rho(rho)
+    check_sigma2(sigma2)
+    check_T(T)
     if len(active_per_slot) != T:
         raise ValueError(f"active_per_slot has {len(active_per_slot)} slots, expected T={T}")
     if trials < 1:
@@ -153,10 +156,22 @@ def simulate_cc_noma_sinr(
         if desired not in act:
             raise DesiredInactive(f"desired user {desired} not active in slot {t + 1}")
         if not all(0 <= j < J for j in act):
-            raise ValueError(f"slot {t + 1} active set has indices outside 0..{J - 1}")
+            raise ValueError(f"active_per_slot has indices outside 0..{J - 1} in slot {t + 1}")
         active.append(act)
 
     a2 = rho * sigma2
+    signal = T * a2  # desired part of the combined matched-filter output
+    # The estimate divides by the squares of the signal power and of the mean
+    # residual power, so each must be a normal float (a subnormal one has
+    # lost digits); that bounds rho*sigma2 on both sides.  The signal's is
+    # known before any trial is drawn, and a run past its bound would
+    # overflow on the way.
+    if not _NORMAL_MIN <= signal * signal < math.inf:
+        raise DegenerateResidual(
+            f"rho*sigma2 = {a2!r} is out of range for the SINR estimate: it squares the "
+            f"signal power {signal!r}, and the square fell below the normal float range "
+            f"or overflowed"
+        )
     a = math.sqrt(a2)
     scale = math.sqrt(sigma2 / 2.0)
     desired_conj = np.conj(sigs[desired])
@@ -167,7 +182,6 @@ def simulate_cc_noma_sinr(
     filt = desired_conj[support]
     # Noise-free received slot = a * (sum of active signatures).
     slot_sums = np.stack([sigs[act].sum(axis=0) for act in active])
-    signal = T * a2  # desired part of the combined matched-filter output
     # The noise-free residual (coherent cross-correlation interference) is
     # the same in every trial; only the filtered noise is drawn.
     clean_residual = a * (a * slot_sums @ desired_conj).sum() - signal
@@ -212,15 +226,11 @@ def simulate_cc_noma_sinr(
 
     with np.errstate(over="ignore"):
         mean_res = float(np.sum(res_power)) / trials
-    # The estimate divides by the squares of both powers, so each square must
-    # be a normal float (a subnormal one has lost digits); that bounds
-    # rho*sigma2 on both sides.
-    if not (_NORMAL_MIN <= signal * signal < math.inf
-            and _NORMAL_MIN <= mean_res * mean_res < math.inf):
+    if not _NORMAL_MIN <= mean_res * mean_res < math.inf:
         raise DegenerateResidual(
             f"rho*sigma2 = {a2!r} is out of range for the SINR estimate: it squares the "
-            f"signal power {signal!r} and the mean residual power {mean_res!r}, and a "
-            f"square fell below the normal float range or overflowed"
+            f"mean residual power {mean_res!r}, and the square fell below the normal "
+            f"float range or overflowed"
         )
     mean_sinr = signal * signal / mean_res
     if trials > 1:
@@ -250,6 +260,11 @@ def simulate_cc_noma_sinr(
     return SinrEstimate(mean_sinr, half_width, trials, seed)
 
 
+def _check_counts(counts: list[int]) -> None:
+    if not counts or min(counts) < 1:
+        raise ValueError(f"per_slot_counts needs >= 1 slot and >= 1 user a slot, got {counts!r}")
+
+
 def analytic_sinr(
     scheme: Scheme,
     rho: float,
@@ -260,13 +275,16 @@ def analytic_sinr(
     """Closed-form post-combining SINR for chase combining with the given
     per-slot user counts: :func:`harqscale.closedform.combined_sinr` at
     J = sum of the counts; ``evaluate`` reads the same TIN form through
-    :func:`harqscale.closedform.rate_function`.
+    :func:`harqscale.closedform.rate_function`.  rho, T and eta follow the
+    rules of ``SchemeParams``.
     """
+    check_rho(rho)
+    check_T(T)
+    check_eta(eta)
     counts = [int(c) for c in per_slot_counts]
     if len(counts) != T:
         raise ValueError(f"per_slot_counts has {len(counts)} slots, expected T={T}")
-    if any(c < 1 for c in counts):
-        raise ValueError(f"every slot needs >= 1 user, got {counts!r}")
+    _check_counts(counts)
     if scheme not in (Scheme.CC_NOMA, Scheme.CC_OMA):
         raise UnsupportedCombination(f"no chase-combining SINR for {scheme.value}")
     return combined_sinr(scheme, Regime.TIN, rho, T, float(sum(counts)), eta)
@@ -326,20 +344,41 @@ def verify_cc_oma_noise_expansion(
     grid, float64 phasors of modulus 1, chunked trials).  Returns the
     relative deviation of the sampled mean of the interference-plus-noise
     power from the closed form.  ``amplitude_samples`` is a common magnitude
-    (scalar) or one magnitude per slot.
+    (scalar) or one magnitude per slot, finite and >= 0; sigma2 follows the
+    rule of ``SchemeParams``.  An amplitude whose powers leave the float
+    range, so that the expected power or its interference part (when there
+    are interferers) is not a positive normal float or the deviation is not
+    finite, raises DegenerateResidual.
     """
     counts = [int(c) for c in per_slot_counts]
-    if any(c < 1 for c in counts):
-        raise ValueError(f"every slot needs >= 1 user, got {counts!r}")
+    _check_counts(counts)
+    check_sigma2(sigma2)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     T = len(counts)
     amps = np.broadcast_to(np.asarray(amplitude_samples, dtype=float), (T,))
+    if not ((0.0 <= amps) & (amps < math.inf)).all():
+        raise ValueError(f"amplitude_samples must be finite and >= 0, got {amplitude_samples!r}")
 
     interferers = np.array(counts) - 1
-    noise_term = sigma2 * float(np.sum(amps**2))
-    expected = float(np.sum(interferers * amps**4)) + noise_term
-
-    weights = np.repeat(amps * amps, interferers)
-    sampled = float(np.mean(_relative_phase_power(weights, trials, seed))) + noise_term
-    return abs(sampled - expected) / expected
+    # a power out of the float range is reported below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise_term = sigma2 * float(np.sum(amps**2))
+        interference = float(np.sum(interferers * amps**4))
+        expected = interference + noise_term
+        if not (_NORMAL_MIN <= expected < math.inf
+                and (_NORMAL_MIN <= interference or not interferers.any())):
+            raise DegenerateResidual(
+                f"amplitude_samples = {amplitude_samples!r} is out of range for the "
+                f"noise-expansion check: the expected power {expected!r} or its "
+                f"interference part {interference!r} is not a positive normal float"
+            )
+        weights = np.repeat(amps * amps, interferers)
+        sampled = float(np.mean(_relative_phase_power(weights, trials, seed))) + noise_term
+    deviation = abs(sampled - expected) / expected
+    if not deviation < math.inf:
+        raise DegenerateResidual(
+            f"amplitude_samples = {amplitude_samples!r} is out of range for the "
+            f"noise-expansion check: the sampled power {sampled!r} is not finite"
+        )
+    return deviation

@@ -565,6 +565,13 @@ REJECTED = [
     # power and the half-width would be 0.0
     _rejected("validate-constant-residual", "validate --rho 1e70",
               "rho*sigma2", "same residual power"),
+    # at rho*sigma2 = 1e308 the signal power overflows: refused before any trial, unwarned
+    _rejected("validate-signal-overflow", "validate --rho 1e308", "rho*sigma2"),
+    # the amplitude check: no power at rho = 0 or sigma2 = 1e-320; amplitude**4
+    # overflows at rho = 1e200, and at 1e-200 rounds to 0, so no interference is tested
+    *(_rejected(f"amplitude-{key}-{value}", f"validate --mode amplitude --{key} {value}",
+                "amplitude_samples = ")
+      for key, value in [("rho", "0"), ("sigma2", "1e-320"), ("rho", "1e200"), ("rho", "1e-200")]),
     _rejected("validate-seed-negative", "validate --seed -1", "seed"),
     _rejected("validate-m-below-users", "validate --m 3 --users-per-slot 5", "m="),
     # a rate that rounds to 0 ends in a ZeroDivisionError traceback (exit 1) until

@@ -13,13 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harqscale import (
-    DegenerateRate,
-    InvalidSlot,
     Metrics,
     Regime,
     Scheme,
     SchemeParams,
-    UnsupportedCombination,
     buffer_rate_from_quant_noise,
     evaluate,
     fbl_rate,
@@ -27,7 +24,6 @@ from harqscale import (
     qinv,
     total_power,
 )
-from harqscale.closedform import combined_sinr
 from harqscale.params import T_MAX
 
 LN2 = math.log(2.0)
@@ -139,21 +135,6 @@ def test_ebn0_db_is_exactly_ten_log10_of_linear():
                 assert m.ebn0_db == 10.0 * math.log10(m.ebn0_linear)
 
 
-def test_zero_rate_inputs_are_rejected():
-    p0 = SchemeParams(rho=0.0, T=2, J=10.0)
-    for scheme in Scheme:
-        for regime in Regime:
-            with pytest.raises(DegenerateRate):
-                evaluate(scheme, regime, p0)
-
-
-def test_ir_oma_has_no_combined_channel_sinr():
-    # IR-OMA's slots see different noise, so no single combined SINR exists
-    for regime in Regime:
-        with pytest.raises(UnsupportedCombination, match="ir-oma"):
-            combined_sinr(Scheme.IR_OMA, regime, 1.0, 2, 10.0, 0.1)
-
-
 # ------------------------------------------------------------ quantization noise
 
 
@@ -199,32 +180,12 @@ def test_quant_noise_zero_on_final_slot_only():
         assert ir_quant_noise(p, regime, 2, 2).value == ir_quant_noise(p, regime, 1, 2).value
 
 
-def test_quant_noise_slot_and_horizon_validation():
-    p = SchemeParams(rho=1.0, T=2, J=10.0)
-    with pytest.raises(InvalidSlot):
-        ir_quant_noise(p, Regime.SUM_OPTIMAL, 0, 1)
-    with pytest.raises(InvalidSlot):
-        ir_quant_noise(p, Regime.SUM_OPTIMAL, 3, 1)
-    for bad_horizon in (0, 3):
-        with pytest.raises(ValueError):
-            ir_quant_noise(p, Regime.SUM_OPTIMAL, 1, bad_horizon)
-
-
 def test_quant_noise_survives_huge_buffers():
     # 2**(2 c_buf / (h B)) overflows float; the noise power must come back 0
     p = SchemeParams(rho=1.0, T=2, J=10.0, c_buf=1e6)
     assert ir_quant_noise(p, Regime.SUM_OPTIMAL, 1, 1).value == 0.0
     q = ir_quant_noise(p, Regime.TIN, 1, 1)
     assert q.value == 0.0 and q.clamped
-
-
-@pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("horizon", [1, 2])
-def test_quant_noise_of_a_vanishing_buffer_is_a_named_error(regime, horizon):
-    # 2**(2 c_buf / (h B)) rounds to 1, so the noise power would be x / 0
-    p = SchemeParams(rho=1.0, T=2, J=10.0, c_buf=1e-300)
-    with pytest.raises(DegenerateRate, match="c_buf"):
-        ir_quant_noise(p, regime, 1, horizon)
 
 
 @given(
@@ -448,16 +409,6 @@ def test_fbl_floors_at_zero_for_tiny_blocklengths():
     assert fbl_rate(0.01, 2, 1e-9) == 0.0
 
 
-def test_fbl_domain_validation():
-    with pytest.raises(ValueError):
-        fbl_rate(-0.5, 100, 1e-3)
-    with pytest.raises(ValueError):
-        fbl_rate(1.0, 0, 1e-3)
-    for bad_eps in (0.0, 0.5, 1.0):
-        with pytest.raises(ValueError):
-            fbl_rate(1.0, 100, bad_eps)
-
-
 @given(
     sinr=st.floats(1e-3, 1e3),
     n=st.integers(10, 10**8),
@@ -490,46 +441,10 @@ def test_qinv_round_trips_through_tail_probability():
 # ------------------------------------------------------------- parameter checks
 
 
-@pytest.mark.parametrize(
-    "kwargs, needle",
-    [
-        (dict(rho=-1.0), "rho"),
-        (dict(rho=float("nan")), "rho"),
-        (dict(T=0), "T"),
-        (dict(T=2, J=1.0), "J"),
-        (dict(J=0.5), "J"),
-        (dict(eta=-0.1), "eta"),
-        (dict(eta=1.5), "eta"),
-        (dict(sigma2=0.0), "sigma2"),
-        (dict(B=0), "B"),
-        (dict(c_buf=0.0), "c_buf"),
-        (dict(L=0.0), "L"),
-        (dict(rho=float("inf")), "rho"),
-        (dict(J=float("inf")), "J"),
-        (dict(sigma2=float("inf")), "sigma2"),
-        (dict(T=float("inf")), "T"),
-        (dict(B=float("inf")), "B"),
-        (dict(T=float("nan")), "T"),
-        (dict(L=float("inf")), "L"),
-        (dict(T=10**400), "T"),
-        (dict(B=10**400), "B"),
-        (dict(rho=10**400), "^rho is too large for float arithmetic$"),
-        (dict(J=10**400), "^J is too large for float arithmetic$"),
-        (dict(sigma2=10**400), "^sigma2 is too large for float arithmetic$"),
-        (dict(L=10**400), "^L is too large for float arithmetic$"),
-    ],
-)
-def test_invalid_parameters_name_the_offender(kwargs, needle):
-    with pytest.raises(ValueError, match=needle):
-        SchemeParams(**kwargs)
-
-
-def test_t_is_bounded_and_ir_oma_tin_at_the_bound_is_quick():
-    assert SchemeParams(T=T_MAX, J=float(T_MAX)).T == T_MAX
-    with pytest.raises(ValueError, match=r"^T must be in 1\.\.10000, got 10001$"):
-        SchemeParams(T=T_MAX + 1, J=float(T_MAX + 1))
+def test_ir_oma_tin_at_the_t_bound_is_quick():
     # IR-OMA adds the T slot rates one by one
     p = SchemeParams(rho=1.0, T=T_MAX, J=float(T_MAX))
+    assert p.T == T_MAX
     start = time.perf_counter()
     m = evaluate(Scheme.IR_OMA, Regime.TIN, p)
     assert time.perf_counter() - start < 0.5
@@ -547,5 +462,3 @@ def test_integer_like_counts_are_coerced():
     p = SchemeParams(rho=1.0, T=2.0, J=10.0, B=3.0)
     assert isinstance(p.T, int) and p.T == 2
     assert isinstance(p.B, int) and p.B == 3
-    with pytest.raises(ValueError):
-        SchemeParams(T=2.5)

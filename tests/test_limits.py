@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harqscale import (
-    DegenerateRate,
     Hold,
     LimitKind,
     Regime,
     Scheme,
     SchemeParams,
-    UnsupportedCombination,
     ebn0_cbuf_infinity_ir_tin,
     ebn0_floor,
     ebn0_rho_zero_limit,
@@ -61,19 +59,6 @@ def test_cc_noma_sum_floor_is_bit_exact_against_the_formula_written_out(
     p = SchemeParams(rho=rho, T=T, J=J, eta=eta, sigma2=sigma2)
     r = ebn0_floor(Scheme.CC_NOMA, Regime.SUM_OPTIMAL, p)
     assert r.value_linear == LN2 * J * sigma2 / (T * (1 + eta**2 * (J / T - 1) ** 2))
-
-
-def test_floor_unsupported_pairs_raise():
-    p = SchemeParams(rho=1.0, T=2, J=10.0)
-    for scheme, regime in [
-        (Scheme.CLASSICAL, Regime.SUM_OPTIMAL),
-        (Scheme.CLASSICAL, Regime.TIN),
-        (Scheme.CC_OMA, Regime.SUM_OPTIMAL),
-        (Scheme.IR_OMA, Regime.SUM_OPTIMAL),
-        (Scheme.IR_OMA, Regime.TIN),
-    ]:
-        with pytest.raises(UnsupportedCombination):
-            ebn0_floor(scheme, regime, p)
 
 
 def test_limit_result_db_field_consistent():
@@ -140,21 +125,6 @@ def test_rho_zero_classical_single_slot_and_ir_tin():
     p2 = SchemeParams(rho=1.0, T=2, J=10.0, c_buf=1.0)
     r2 = ebn0_rho_zero_limit(Scheme.IR_OMA, Regime.TIN, p2, Hold.TOTAL_POWER)
     assert r2.value_linear == LN2 * total_power(p2)
-
-
-def test_rho_zero_unsupported_pairs_raise():
-    p = SchemeParams(rho=1.0, T=2, J=10.0)
-    cases = [
-        (Scheme.CLASSICAL, Regime.TIN, Hold.TOTAL_POWER),  # needs T == 1
-        (Scheme.CLASSICAL, Regime.SUM_OPTIMAL, Hold.TOTAL_POWER),
-        (Scheme.CC_NOMA, Regime.SUM_OPTIMAL, Hold.USER_COUNT),
-        (Scheme.CC_NOMA, Regime.TIN, Hold.TOTAL_POWER),
-        (Scheme.CC_OMA, Regime.TIN, Hold.TOTAL_POWER),
-        (Scheme.IR_OMA, Regime.SUM_OPTIMAL, Hold.TOTAL_POWER),
-    ]
-    for scheme, regime, hold in cases:
-        with pytest.raises(UnsupportedCombination):
-            ebn0_rho_zero_limit(scheme, regime, p, hold)
 
 
 def test_rho_zero_limit_scales_linearly_with_total_power():
@@ -228,11 +198,6 @@ def test_ir_evaluator_converges_to_cbuf_infinity_limit():
     lim = ebn0_cbuf_infinity_ir_tin(p).value_linear
     got = evaluate(Scheme.IR_OMA, Regime.TIN, p).ebn0_linear
     assert rel(got, lim) < 1e-6
-
-
-def test_cbuf_infinity_rejects_zero_rate():
-    with pytest.raises(DegenerateRate):
-        ebn0_cbuf_infinity_ir_tin(SchemeParams(rho=0.0, T=2, J=10.0))
 
 
 # ---------------------------------------------------------------- sanity checks

@@ -15,13 +15,9 @@ import numpy as np
 import pytest
 
 from harqscale import (
-    DegenerateResidual,
-    DesiredInactive,
-    DimensionTooSmall,
     Regime,
     Scheme,
     SchemeParams,
-    UnsupportedCombination,
     analytic_sinr,
     evaluate,
     make_equicorrelated_signatures,
@@ -50,6 +46,7 @@ def dense_signatures(J: int, m: int, seed: int) -> np.ndarray:
 
 
 def test_equicorrelated_inner_products_are_exact():
+    # m = J + 1, the fewest dimensions that host J such signatures
     sigs = make_equicorrelated_signatures(11, 10, 0.1)
     g = sigs @ sigs.conj().T
     for i in range(10):
@@ -62,20 +59,6 @@ def test_equicorrelated_orthonormal_at_eta_zero():
     sigs = make_equicorrelated_signatures(8, 4, 0.0)
     g = sigs @ sigs.conj().T
     assert np.array_equal(g, np.eye(4, dtype=complex))
-
-
-def test_equicorrelated_needs_an_extra_dimension():
-    with pytest.raises(DimensionTooSmall):
-        make_equicorrelated_signatures(2, 10, 0.1)
-    with pytest.raises(DimensionTooSmall):
-        make_equicorrelated_signatures(10, 10, 0.1)  # m = J is still one short
-    make_equicorrelated_signatures(11, 10, 0.1)  # boundary is fine
-
-
-def test_equicorrelated_eta_domain():
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            make_equicorrelated_signatures(11, 10, bad)
 
 
 # ------------------------------------------- the received-signal model, in full
@@ -145,41 +128,6 @@ def test_sinr_kernel_matches_explicit_received_signal_model(
     est = simulate_cc_noma_sinr(sigs, rho, sigma2, T, active, desired, trials, seed=11)
     want = explicit_model_sinr(sigs, rho, sigma2, T, active, desired, trials, seed=11)
     assert rel(est.mean, want) < 1e-12
-
-
-def test_frame_validates_active_indices():
-    sigs = make_equicorrelated_signatures(6, 5, 0.2)
-    for bad in ([(0, 5)], [(0, -1)]):
-        with pytest.raises(ValueError):
-            simulate_cc_noma_sinr(sigs, 1.0, 1.0, 1, bad, 0, 10, 0)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "rho, sigma2",
-    [(0.0, 1.0), (1e-170, 1.0), (1e-158, 1.0), (1e153, 1.0), (1e100, 1e100),
-     (1e-200, 1e200), (1e-290, 1e300)],
-)
-def test_out_of_range_power_is_a_named_error_without_warnings(rho, sigma2):
-    # rho = 0: no signal; 1e-170: the squared powers underflow to 0; 1e-158:
-    # they are subnormal; 1e153: the sum of residual powers overflows; 1e200:
-    # each residual power overflows; the last two: only the residual leaves
-    # the range
-    sigs = make_equicorrelated_signatures(64, 5, 0.1)
-    with pytest.raises(DegenerateResidual, match=r"rho\*sigma2"):
-        simulate_cc_noma_sinr(sigs, rho, sigma2, 2, [range(5)] * 2, 0, 300, 0, 2)
-
-
-@pytest.mark.parametrize("rho", [1e40, 1e70, 1e77])
-def test_constant_residual_power_is_a_named_error(rho):
-    # interference-limited far enough that the filtered noise falls below the
-    # last bit of the coherent interference: every trial gives the same
-    # residual power, so the run says nothing about the estimate's spread (at
-    # 1e70 the variance is exactly 0; at 1e40 and 1e77 it is not, only because
-    # the mean of the equal powers rounds)
-    sigs = make_equicorrelated_signatures(64, 5, 0.1)
-    with pytest.raises(DegenerateResidual, match=r"rho\*sigma2.*same residual power"):
-        simulate_cc_noma_sinr(sigs, rho, 1.0, 2, [range(5)] * 2, 0, 2000, 0)
 
 
 # ------------------------------------------------------------- SINR estimation
@@ -344,25 +292,6 @@ def test_sinr_half_width_is_calibrated_across_seeds():
     assert 0.65 <= spread / reported <= 1.35
 
 
-def test_sinr_desired_user_must_transmit_every_slot():
-    sigs = make_equicorrelated_signatures(16, 5, 0.1)
-    with pytest.raises(DesiredInactive):
-        simulate_cc_noma_sinr(sigs, 1.0, 1.0, 2, [(0, 1), (1, 2)], 0, 10, 0)
-
-
-@pytest.mark.parametrize("trials, workers, name", [(0, 1, "trials"), (10, 0, "workers")])
-def test_sinr_trials_and_workers_must_be_positive(trials, workers, name):
-    sigs = make_equicorrelated_signatures(16, 5, 0.1)
-    with pytest.raises(ValueError, match=name):
-        simulate_cc_noma_sinr(sigs, 1.0, 1.0, 1, [range(5)], 0, trials, 0, workers=workers)
-
-
-def test_sinr_slot_count_must_match_T():
-    sigs = make_equicorrelated_signatures(16, 5, 0.1)
-    with pytest.raises(ValueError):
-        simulate_cc_noma_sinr(sigs, 1.0, 1.0, 3, [range(5)] * 2, 0, 10, 0)
-
-
 def test_sinr_oracle_agreement_spot_cells():
     # a light version of the acceptance grid: one cell per eta regime
     for eta, T, J in [(0.0, 2, 5), (0.05, 4, 10), (0.1, 1, 2), (0.3, 2, 10)]:
@@ -397,17 +326,6 @@ def test_analytic_sinr_matches_tin_evaluator_at_uniform_load():
             assert m.se == (p.J / (2.0 * p.T)) * (math.log(1.0 + sinr) / math.log(2.0))
 
 
-def test_analytic_sinr_validation():
-    with pytest.raises(ValueError):
-        analytic_sinr(Scheme.CC_NOMA, 1.0, 3, (5, 5), 0.1)  # len != T
-    with pytest.raises(ValueError):
-        analytic_sinr(Scheme.CC_NOMA, 1.0, 2, (5, 0), 0.1)  # empty slot
-    with pytest.raises(UnsupportedCombination):
-        analytic_sinr(Scheme.CLASSICAL, 1.0, 2, (5, 5))
-    with pytest.raises(UnsupportedCombination):
-        analytic_sinr(Scheme.IR_OMA, 1.0, 2, (5, 5))
-
-
 # ------------------------------------------------- amplitude-level verification
 
 
@@ -426,13 +344,6 @@ def test_noise_expansion_exact_corner_cases():
     # a per-slot amplitude and a small noise term: every phasor has modulus 1
     # to float64 precision, where float32 cos/sin alone are ~1e-7 off
     assert verify_cc_oma_noise_expansion((0.5,), (2,), 1e-3, 1000, seed=0) < 1e-12
-
-
-def test_noise_expansion_needs_occupied_slots_and_trials():
-    with pytest.raises(ValueError, match="slot"):
-        verify_cc_oma_noise_expansion(1.0, (5, 0), 1.0, 100, seed=0)
-    with pytest.raises(ValueError, match="trials"):
-        verify_cc_oma_noise_expansion(1.0, (5, 5), 1.0, 0, seed=0)
 
 
 def test_noise_expansion_per_slot_amplitudes():
