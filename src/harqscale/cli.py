@@ -37,7 +37,7 @@ from . import __getattr__, __version__  # the simulator's names load on first us
 from .closedform import evaluate
 from .errors import ConfigError, HarqScaleError, UnsupportedCombination
 from .limits import Hold, ebn0_cbuf_infinity_ir_tin, ebn0_floor, ebn0_rho_zero_limit
-from .params import Regime, Scheme, SchemeParams
+from .params import Regime, Scheme, SchemeParams, check_count
 from .sweep import density_curve, make_grid, se_curve
 from .tables import curve_to_csv, curve_to_json
 
@@ -165,12 +165,10 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     m = _merged(ns)
     if ns.command == "validate":
         for key in ("trials", "workers", "m", "users_per_slot"):
-            if m[key] < 1:
-                raise ConfigError(f"{key} must be >= 1, got {m[key]!r}")
+            check_count(key, m[key])
         if not m["tolerance"] > 0:
             raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
-        if m["seed"] < 0:
-            raise ConfigError(f"seed must be >= 0, got {m['seed']!r}")
+        check_count("seed", m["seed"], 0)
         for names, bound in VALIDATE_BOUNDS.items():
             factors = [m[name] for name in names.split(" * ")]
             if math.prod(factors) > bound:

@@ -58,9 +58,19 @@ def check_sigma2(sigma2: float) -> None:
         raise ValueError(f"sigma2 must be finite and > 0, got {sigma2!r}")
 
 
-def check_T(T: int) -> None:
-    if not 1 <= T <= T_MAX:
-        raise ValueError(f"T must be in 1..{T_MAX}, got {T!r}")
+def check_count(name: str, value, lo: float = 1, hi: float = math.inf) -> int:
+    """The rule for every count, index and seed: an integer, or a float holding one, in lo..hi."""
+    if not (hasattr(value, "__index__") or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not lo <= value <= hi:
+        span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+    return value
+
+
+def check_T(T: int) -> int:
+    return check_count("T", T, 1, T_MAX)
 
 
 def check_eta(eta: float) -> None:
@@ -104,18 +114,12 @@ class SchemeParams:
                 math.isfinite(getattr(self, name))
             except OverflowError:  # an int beyond float range
                 raise ValueError(f"{name} is too large for float arithmetic") from None
-        for name in ("T", "B"):
-            raw = getattr(self, name)
-            if not math.isfinite(raw) or raw != int(raw):
-                raise ValueError(f"{name} must be an integer, got {raw!r}")
-            object.__setattr__(self, name, int(raw))
+        object.__setattr__(self, "T", check_T(self.T))
+        object.__setattr__(self, "B", check_count("B", self.B))
         check_rho(self.rho)
         check_sigma2(self.sigma2)
-        check_T(self.T)
         check_J(self.J, self.T)
         check_eta(self.eta)
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B!r}")
         if not self.c_buf > 0:
             raise ValueError(f"c_buf must be > 0, got {self.c_buf!r}")
         if not 0 < self.L < math.inf:

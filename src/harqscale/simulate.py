@@ -58,7 +58,7 @@ import numpy as np
 
 from .closedform import combined_sinr
 from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall, UnsupportedCombination
-from .params import Regime, Scheme, check_eta, check_rho, check_sigma2, check_T
+from .params import Regime, Scheme, check_count, check_eta, check_rho, check_sigma2, check_T
 
 # Trials per block: one generator, so one slice of the random streams.
 # Fixed, so that the streams depend on neither the worker count nor the
@@ -95,8 +95,10 @@ def make_equicorrelated_signatures(m: int, J: int, eta: float) -> np.ndarray:
     array, with every pairwise inner product exactly eta.
 
     S_j = sqrt(1-eta)*e_j + sqrt(eta)*u over the orthonormal set
-    {e_1..e_J, u}, which needs m >= J+1 dimensions.
+    {e_1..e_J, u}, which needs m >= J+1 dimensions; m and J are counts
+    (``params.check_count``).
     """
+    m, J = check_count("m", m), check_count("J", J)
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must be in [0, 1), got {eta!r}")
     if m < J + 1:
@@ -138,21 +140,20 @@ def simulate_cc_noma_sinr(
     (T*rho*sigma2)^2 over the mean residual power, with a delta-method
     confidence half-width.  ``workers`` threads, the calling thread among
     them, share out the chunks of 256-trial blocks; the result is the same
-    for any value.  rho, sigma2 and T follow the rules of ``SchemeParams``.
+    for any value.  rho, sigma2 and T follow ``SchemeParams``; the user
+    indices, ``trials``, ``seed`` and ``workers`` follow ``params.check_count``.
     """
     check_rho(rho)
     check_sigma2(sigma2)
-    check_T(T)
+    T = check_T(T)
     if len(active_per_slot) != T:
         raise ValueError(f"active_per_slot has {len(active_per_slot)} slots, expected T={T}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    trials, workers = check_count("trials", trials), check_count("workers", workers)
+    seed, desired = check_count("seed", seed, 0), check_count("desired", desired, 0)
     J = sigs.shape[0]
     active = []
     for t, slot in enumerate(active_per_slot):
-        act = [int(j) for j in slot]
+        act = [check_count("active_per_slot index", j, -math.inf) for j in slot]
         if desired not in act:
             raise DesiredInactive(f"desired user {desired} not active in slot {t + 1}")
         if not all(0 <= j < J for j in act):
@@ -260,9 +261,11 @@ def simulate_cc_noma_sinr(
     return SinrEstimate(mean_sinr, half_width, trials, seed)
 
 
-def _check_counts(counts: list[int]) -> None:
+def _slot_counts(per_slot_counts: Sequence[int]) -> list[int]:
+    counts = [check_count("per_slot_counts", c, -math.inf) for c in per_slot_counts]
     if not counts or min(counts) < 1:
         raise ValueError(f"per_slot_counts needs >= 1 slot and >= 1 user a slot, got {counts!r}")
+    return counts
 
 
 def analytic_sinr(
@@ -276,15 +279,14 @@ def analytic_sinr(
     per-slot user counts: :func:`harqscale.closedform.combined_sinr` at
     J = sum of the counts; ``evaluate`` reads the same TIN form through
     :func:`harqscale.closedform.rate_function`.  rho, T and eta follow the
-    rules of ``SchemeParams``.
+    rules of ``SchemeParams``; the counts follow ``params.check_count``.
     """
     check_rho(rho)
-    check_T(T)
+    T = check_T(T)
     check_eta(eta)
-    counts = [int(c) for c in per_slot_counts]
+    counts = _slot_counts(per_slot_counts)
     if len(counts) != T:
         raise ValueError(f"per_slot_counts has {len(counts)} slots, expected T={T}")
-    _check_counts(counts)
     if scheme not in (Scheme.CC_NOMA, Scheme.CC_OMA):
         raise UnsupportedCombination(f"no chase-combining SINR for {scheme.value}")
     return combined_sinr(scheme, Regime.TIN, rho, T, float(sum(counts)), eta)
@@ -345,18 +347,20 @@ def verify_cc_oma_noise_expansion(
     relative deviation of the sampled mean of the interference-plus-noise
     power from the closed form.  ``amplitude_samples`` is a common magnitude
     (scalar) or one magnitude per slot, finite and >= 0; sigma2 follows the
-    rule of ``SchemeParams``.  An amplitude whose powers leave the float
-    range, so that the expected power or its interference part (when there
-    are interferers) is not a positive normal float or the deviation is not
+    rule of ``SchemeParams``; the counts, ``trials`` and ``seed`` follow
+    ``params.check_count``.  An amplitude whose powers leave the float range,
+    so that the expected power or its interference part (when there are
+    interferers) is not a positive normal float or the deviation is not
     finite, raises DegenerateResidual.
     """
-    counts = [int(c) for c in per_slot_counts]
-    _check_counts(counts)
+    counts = _slot_counts(per_slot_counts)
     check_sigma2(sigma2)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    trials, seed = check_count("trials", trials), check_count("seed", seed, 0)
     T = len(counts)
-    amps = np.broadcast_to(np.asarray(amplitude_samples, dtype=float), (T,))
+    amps = np.asarray(amplitude_samples, dtype=float)
+    if amps.shape not in ((), (1,), (T,)):
+        raise ValueError(f"amplitude_samples has {amps.size} values for {T} slots")
+    amps = np.broadcast_to(amps, (T,))
     if not ((0.0 <= amps) & (amps < math.inf)).all():
         raise ValueError(f"amplitude_samples must be finite and >= 0, got {amplitude_samples!r}")
 

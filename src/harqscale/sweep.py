@@ -27,7 +27,7 @@ from itertools import compress
 from .closedform import checked_db, decibels, rate_function
 from .closedform import evaluate  # noqa: F401  (bench/spans.py wraps this name when tracing)
 from .errors import EmptyCurve, GridMismatch, HarqScaleError
-from .params import J_in_range, Regime, Scheme, SchemeParams, rho_in_range
+from .params import J_in_range, Regime, Scheme, SchemeParams, check_count, rho_in_range
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,8 @@ class Curve:
 
 
 def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[float, ...]:
-    """Build an ascending sweep grid; ``scale`` is "log" or "linear"."""
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points!r}")
+    """An ascending grid of ``points`` (``params.check_count``); ``scale`` is "log" or "linear"."""
+    points = check_count("points", points)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got {lo!r} and {hi!r}")
     if not lo < hi:

@@ -17,11 +17,15 @@ from harqscale import (
     Regime,
     Scheme,
     SchemeParams,
+    analytic_sinr,
     buffer_rate_from_quant_noise,
     evaluate,
     fbl_rate,
     ir_quant_noise,
+    make_equicorrelated_signatures,
+    make_grid,
     qinv,
+    simulate_cc_noma_sinr,
     total_power,
 )
 from harqscale.params import T_MAX
@@ -459,6 +463,15 @@ def test_infinite_buffer_stays_valid_and_finite():
 
 
 def test_integer_like_counts_are_coerced():
+    # params.check_count: a float holding an integer is that integer
     p = SchemeParams(rho=1.0, T=2.0, J=10.0, B=3.0)
     assert isinstance(p.T, int) and p.T == 2
     assert isinstance(p.B, int) and p.B == 3
+    sigs = make_equicorrelated_signatures(64, 5, 0.1)
+    assert (make_equicorrelated_signatures(64.0, 5.0, 0.1) == sigs).all()
+    est = simulate_cc_noma_sinr(sigs, 1.0, 1.0, 2.0, [(0.0, 1, 2, 3, 4)] * 2, 0.0, 2000.0, 3.0)
+    assert est == simulate_cc_noma_sinr(sigs, 1.0, 1.0, 2, [range(5)] * 2, 0, 2000, 3)
+    assert isinstance(est.trials, int) and isinstance(est.seed, int)
+    assert analytic_sinr(Scheme.CC_NOMA, 1.0, 2.0, (5.0, 5.0), 0.1) == analytic_sinr(
+        Scheme.CC_NOMA, 1.0, 2, (5, 5), 0.1)
+    assert make_grid(1.0, 2.0, 5.0) == make_grid(1.0, 2.0, 5)

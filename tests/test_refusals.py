@@ -33,18 +33,19 @@ def _refused(row_id, error, needle, fn, *args, **kwargs):
     return pytest.param(partial(fn, *args, **kwargs), error, needle, id=row_id)
 
 
-def _sinr(rho=1.0, sigma2=1.0, T=2, active=None, trials=300, workers=1):
+def _sinr(rho=1.0, sigma2=1.0, T=2, active=None, trials=300, workers=1, desired=0, seed=0):
     # 5 users of SIGS in every slot, user 0 decoded, seed 0
     active = [range(5)] * T if active is None else active
-    return partial(simulate_cc_noma_sinr, SIGS, rho, sigma2, T, active, 0, trials, 0, workers)
+    return partial(simulate_cc_noma_sinr, SIGS, rho, sigma2, T, active, desired, trials, seed,
+                   workers)
 
 
 def _analytic(scheme=CC_NOMA, rho=1.0, T=2, counts=(5, 5), eta=0.1):
     return partial(analytic_sinr, scheme, rho, T, counts, eta)
 
 
-def _expansion(amplitude=1.0, counts=(5, 5), sigma2=1.0, trials=100):
-    return partial(verify_cc_oma_noise_expansion, amplitude, counts, sigma2, trials, 0)
+def _expansion(amplitude=1.0, counts=(5, 5), sigma2=1.0, trials=100, seed=0):
+    return partial(verify_cc_oma_noise_expansion, amplitude, counts, sigma2, trials, seed)
 
 
 REFUSED = [
@@ -101,6 +102,44 @@ REFUSED = [
     *(_refused(f"signatures-eta-{eta}", ValueError, r"^eta must be in \[0, 1\)",
                make_equicorrelated_signatures, 11, 10, eta)
       for eta in (-0.1, 1.0, 1.5)),
+    # params.check_count, the rule for every count, index and seed: an integer,
+    # or a float holding one, within its bounds; each row below got numpy's
+    # unnamed TypeError or ValueError, an IndexError, or ran on a truncated value
+    *(_refused(f"signatures-{name}-{m}x{J}", ValueError, f"^{name} must be {rule}",
+               make_equicorrelated_signatures, m, J, 0.1)
+      for name, m, J, rule in [("m", 11.5, 10, "an integer, got 11.5"),
+                               ("m", 0, -1, ">= 1, got 0"),
+                               ("J", 11, 2.5, "an integer, got 2.5"),
+                               ("J", 11, -1, ">= 1, got -1")]),
+    # int(1.9) decoded user 1
+    _refused("sinr-active-1.9", ValueError,
+             "^active_per_slot index must be an integer, got 1.9$", _sinr(T=1, active=[(0, 1.9)])),
+    *(_refused(f"sinr-{name}-{value}", ValueError, f"^{name} must be {rule}",
+               _sinr(T=1, **{name: value}))
+      for name, value, rule in [("trials", 2.5, "an integer, got 2.5"),
+                                # ran on one chunk; a TypeError on more
+                                ("workers", 1.5, "an integer, got 1.5"),
+                                ("seed", -1, ">= 0, got -1"), ("seed", 1.5, "an integer, got 1.5"),
+                                ("desired", 1.5, "an integer, got 1.5"),
+                                ("desired", -1, ">= 0, got -1")]),
+    _refused("sinr-T-2.5", ValueError, "^T must be an integer, got 2.5$",
+             _sinr(T=2.5, active=[range(5)] * 2)),
+    # int(2.5) gave the (2, 2) SINR, 1.9607843137254901
+    _refused("analytic-counts-2.5", ValueError, "^per_slot_counts must be an integer, got 2.5$",
+             _analytic(counts=(2.5, 2.5))),
+    _refused("analytic-T-2.5", ValueError, "^T must be an integer, got 2.5$", _analytic(T=2.5)),
+    # int(2.7) checked (2, 2)
+    _refused("expansion-counts-2.7", ValueError, "^per_slot_counts must be an integer, got 2.7$",
+             _expansion(counts=(2.7, 2.7))),
+    *(_refused(f"expansion-{name}-{value}", ValueError, f"^{name} must be {rule}",
+               _expansion(**{name: value}))
+      for name, value, rule in [("trials", 2.5, "an integer, got 2.5"),
+                                ("seed", -1, ">= 0, got -1"), ("seed", 1.5, "an integer, got 1.5")]),
+    # one magnitude, or one per slot: three for two slots did not broadcast
+    _refused("expansion-amplitude-length", ValueError,
+             "^amplitude_samples has 3 values for 2 slots$", _expansion((1.0, 2.0, 3.0))),
+    _refused("grid-points-2.5", ValueError, "^points must be an integer, got 2.5$",
+             make_grid, 1.0, 2.0, 2.5),
     *(_refused(f"sinr-active-{bad}", ValueError,
                r"^active_per_slot has indices outside 0\.\.4 in slot 1$", _sinr(T=1, active=[bad]))
       for bad in ((0, 5), (0, -1))),
