@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateRate, InvalidSlot, UnsupportedCombination
-from .params import Regime, Scheme, SchemeParams
+from .params import Regime, Scheme, SchemeParams, check_count
 
 _LN2 = math.log(2.0)
 
@@ -200,13 +200,15 @@ def ir_quant_noise(
     In the TIN regime the refinement only has to describe the desired user's
     share, so a large enough buffer drives the expression to zero and the
     result is clamped (flagged).  A buffer so small that 2**(2*c_buf/(horizon*B))
-    rounds to 1 raises DegenerateRate.
+    rounds to 1 raises DegenerateRate.  ``t`` follows ``params.check_count``;
+    a slot outside 1..T raises InvalidSlot.
     """
     p = params
     if horizon not in (p.T - 1, p.T):
         raise ValueError(
             f"horizon must be T-1 or T (= {p.T - 1} or {p.T}), got {horizon!r}"
         )
+    t = check_count("t", t, -math.inf)
     if not 1 <= t <= p.T:
         raise InvalidSlot(f"slot t={t!r} outside 1..{p.T}")
     if t == p.T:

@@ -70,6 +70,8 @@ REFUSED = [
       for r in Regime),
     *(_refused(f"quant-noise-t-{t}", InvalidSlot, f"^slot t={t} ", ir_quant_noise, P, SUM, t, 1)
       for t in (0, 3)),
+    _refused("quant-noise-t-1.5", ValueError, "^t must be an integer, got 1.5$", ir_quant_noise, P,
+             SUM, 1.5, 1),
     *(_refused(f"quant-noise-horizon-{h}", ValueError, "^horizon ", ir_quant_noise, P, SUM, 1, h)
       for h in (0, 3)),
     # 2**(2 c_buf / (h B)) rounds to 1, so the noise power would be x / 0

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harqscale import (
     Regime,
@@ -24,7 +25,7 @@ from harqscale import (
     simulate_cc_noma_sinr,
     verify_cc_oma_noise_expansion,
 )
-from harqscale.simulate import _BLOCK, _CHUNK_BYTES, _relative_phase_power
+from harqscale.simulate import _BLOCK, _CHUNK_BYTES, _block_states, _relative_phase_power
 
 # seed pinned for the oracle-agreement grid: every cell lands within its own
 # 95% half-width and within 5% relative error (worst cell 3.5%)
@@ -196,8 +197,37 @@ def test_sinr_estimate_is_worker_count_invariant():
         sys.setswitchinterval(interval)
 
 
+def spawned_states(seed: int, n: int) -> np.ndarray:
+    """numpy's own PCG64 states of the first n children of SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(n)
+    return np.stack([child.generate_state(4, np.uint64) for child in children])
+
+
+# seeds of 1, 1, 2, 4, 5, 5 and 10 32-bit words: the parent's pool takes the
+# first 4 and mixes in the rest, so the hash constant of the spawn key moves
+# with the word count
+WORD_SEEDS = {"0": 0, "2**32-1": 2**32 - 1, "2**32": 2**32, "2**128-1": 2**128 - 1,
+              "2**128": 2**128, "2**128+1": 2**128 + 1, "2**300-1": 2**300 - 1}
+
+
+@pytest.mark.parametrize("seed", WORD_SEEDS.values(), ids=WORD_SEEDS.keys())
+@pytest.mark.parametrize("n", [1, 2, 40, 3907])
+def test_block_states_are_numpys_spawned_states(seed, n):
+    states = _block_states(seed, n)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    assert np.array_equal(states, spawned_states(seed, n))
+
+
+@given(seed=st.integers(0, 2**300), n=st.integers(1, 600))
+@settings(max_examples=200, deadline=None)
+def test_block_states_match_numpy_for_any_seed(seed, n):
+    assert np.array_equal(_block_states(seed, n), spawned_states(seed, n))
+
+
 # (mean, half_width_95) as float.hex, recorded from the 256-trial-block
-# kernel that drew each block's noise on the filter's support
+# kernel that drew each block's noise on the filter's support; "T4-seed-2**128+1"
+# was recorded while each block's generator still came from
+# SeedSequence(seed).spawn and default_rng
 FROZEN_ESTIMATES = [
     ("T1", 1, [range(5)], 10_000, "0x1.b7b8560169675p-1", "0x1.13b216c74a90ap-6"),
     ("T2", 2, [range(5)] * 2, 10_000, "0x1.83d1a2d1145b9p+0", "0x1.d641f50dbd9cfp-6"),
@@ -205,6 +235,8 @@ FROZEN_ESTIMATES = [
     ("257", 2, [range(5)] * 2, 257, "0x1.98b55864d399ep+0", "0x1.7b7b9b8d85dd3p-3"),
     ("dense", 3, [(0, 3, 5), (3,), (1, 2, 3, 4)], 300,
      "0x1.f97dc3777f549p+0", "0x1.89244c1476f5bp-3"),
+    ("T4-seed-2**128+1", 4, [range(5)] * 4, 10_000,
+     "0x1.377b960b6537cp+1", "0x1.68444204abff0p-5"),
 ]
 
 
@@ -214,13 +246,15 @@ def test_sinr_random_streams_are_frozen(name, T, active, trials, mean_hex, half_
     # the criterion-6 cells at eta = 0.1, 5 users, m = 64 (seed 1), a run
     # one trial past a block boundary and a dense signature: a change to the
     # seeding, the draw layout or the order of the reductions moves these
-    # bits, so any such change is a deliberate data change
+    # bits, so any such change is a deliberate data change; the T4 cell at a
+    # seed of five 32-bit words checks the seeding past the pool size
     if name == "dense":  # the dense case of the explicit-model test above
         est = simulate_cc_noma_sinr(dense_signatures(6, 12, 5), 0.7, 2.0, T, active, 3, trials,
                                     11, workers)
     else:
+        seed = 2**128 + 1 if name == "T4-seed-2**128+1" else 1
         sigs = make_equicorrelated_signatures(64, 5, 0.1)
-        est = simulate_cc_noma_sinr(sigs, 1.0, 1.0, T, active, 0, trials, 1, workers)
+        est = simulate_cc_noma_sinr(sigs, 1.0, 1.0, T, active, 0, trials, seed, workers)
     assert est.mean == float.fromhex(mean_hex)
     assert est.half_width_95 == float.fromhex(half_hex)
 
