@@ -37,7 +37,7 @@ from . import __getattr__, __version__  # the simulator's names load on first us
 from .closedform import evaluate
 from .errors import ConfigError, HarqScaleError, UnsupportedCombination
 from .limits import Hold, ebn0_cbuf_infinity_ir_tin, ebn0_floor, ebn0_rho_zero_limit
-from .params import Regime, Scheme, SchemeParams, check_count
+from .params import Regime, Scheme, SchemeParams, check_count, check_real
 from .sweep import density_curve, make_grid, se_curve
 from .tables import curve_to_csv, curve_to_json
 
@@ -166,8 +166,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     if ns.command == "validate":
         for key in ("trials", "workers", "m", "users_per_slot"):
             check_count(key, m[key])
-        if not m["tolerance"] > 0:
-            raise ConfigError(f"tolerance must be > 0, got {m['tolerance']!r}")
+        check_real("tolerance", m["tolerance"], 0, math.inf, "(]")
         check_count("seed", m["seed"], 0)
         for names, bound in VALIDATE_BOUNDS.items():
             factors = [m[name] for name in names.split(" * ")]

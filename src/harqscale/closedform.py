@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateRate, InvalidSlot, UnsupportedCombination
-from .params import Regime, Scheme, SchemeParams, check_count
+from .params import Regime, Scheme, SchemeParams, check_count, check_member, check_real
 
 _LN2 = math.log(2.0)
 
@@ -156,6 +156,7 @@ def combined_sinr(
     slope that sets the SNR-per-bit floor.  An SINR that overflows raises
     DegenerateRate; IR-OMA raises UnsupportedCombination.
     """
+    check_member("scheme", scheme, Scheme), check_member("regime", regime, Regime)
     sinr = _sinr_form(scheme, regime, T, eta)
     try:
         return sinr(rho, J)
@@ -204,6 +205,7 @@ def ir_quant_noise(
     a slot outside 1..T raises InvalidSlot.
     """
     p = params
+    check_member("regime", regime, Regime)
     if horizon not in (p.T - 1, p.T):
         raise ValueError(
             f"horizon must be T-1 or T (= {p.T - 1} or {p.T}), got {horizon!r}"
@@ -225,8 +227,7 @@ def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float
     noise power; composing this with :func:`ir_quant_noise` is the identity
     (up to roundoff) whenever the noise was not clamped.
     """
-    if not sigma_q2 > 0:
-        raise ValueError(f"sigma_q2 must be > 0, got {sigma_q2!r}")
+    check_real("sigma_q2", sigma_q2, 0, math.inf, "(]")
     p = params
     return (p.B / 2.0) * _log2(1.0 + (p.J * p.rho + p.B) * p.sigma2 / sigma_q2)
 
@@ -281,6 +282,7 @@ def rate_function(scheme: Scheme, regime: Regime, params: SchemeParams):
     it returns arrays, with no per-value check: an overflow or a zero rate
     leaves a non-finite value there, and a zero rho a NaN.
     """
+    check_member("scheme", scheme, Scheme), check_member("regime", regime, Regime)
     if scheme is Scheme.IR_OMA:
         return _ir_oma_rate(regime, params)
     T, sigma2 = params.T, params.sigma2
@@ -315,8 +317,7 @@ def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
 def qinv(epsilon: float) -> float:
     """Inverse of the standard-normal upper tail on (0, 0.5) to full double
     precision: the standard library's -Phi^-1(epsilon), so no 1 - epsilon is rounded."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5), got {epsilon!r}")
+    check_real("epsilon", epsilon, 0, 0.5, "()")
     from statistics import NormalDist  # it imports fractions and decimal: load on first call
     return -NormalDist().inv_cdf(epsilon)
 
@@ -327,10 +328,7 @@ def fbl_rate(sinr: float, n: float, epsilon: float) -> float:
     Normal approximation: capacity minus the dispersion penalty
     sqrt(V/(2n)) * Qinv(epsilon), floored at zero.
     """
-    if not sinr >= 0:
-        raise ValueError(f"sinr must be >= 0, got {sinr!r}")
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    check_real("sinr", sinr, 0, math.inf, "[]"), check_real("n", n, 1, math.inf, "[]")
     if sinr == 0.0:
         return 0.0
     cap = 0.5 * _log2(1.0 + sinr)

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .closedform import _LN2, _db, combined_sinr, evaluate, total_power
 from .errors import UnsupportedCombination
-from .params import Regime, Scheme, SchemeParams
+from .params import Regime, Scheme, SchemeParams, check_member
 
 
 class LimitKind(Enum):
@@ -52,6 +52,7 @@ def ebn0_floor(scheme: Scheme, regime: Regime, params: SchemeParams) -> LimitRes
     the noise level).  Other pairs have no stated floor.
     """
     p = params
+    check_member("scheme", scheme, Scheme), check_member("regime", regime, Regime)
     if scheme is Scheme.CC_NOMA and regime is Regime.SUM_OPTIMAL:
         slope = combined_sinr(scheme, regime, 1.0, p.T, p.J, p.eta)
         return _result(_LN2 * p.J * p.sigma2 / slope, LimitKind.FLOOR_SE_TO_ZERO)
@@ -82,6 +83,8 @@ def ebn0_rho_zero_limit(
     checks these paths (tests/test_limits.py, acceptance criterion 3).
     """
     p = params
+    check_member("scheme", scheme, Scheme), check_member("regime", regime, Regime)
+    check_member("hold", hold, Hold)
     if hold is Hold.TOTAL_POWER:
         if (
             (scheme is Scheme.CC_NOMA and regime is Regime.SUM_OPTIMAL)

@@ -31,31 +31,58 @@ class Regime(Enum):
 T_MAX = 10_000
 
 
+# Each real parameter's domain, written once for its rule and its sweep mask:
+# lo, hi and the two ends, "[" "]" closed or "(" ")" open
+RHO, SIGMA2, ETA = (0, math.inf, "[)"), (0, math.inf, "()"), (0, 1, "[]")
+
+
+def J_domain(T: int) -> tuple:
+    return T, math.inf, "[)"
+
+
+def within(x, lo, hi, ends: str):
+    """Whether ``x`` is in the domain lo..hi with the given ends: a bool, or a numpy mask."""
+    return (lo < x if ends[0] == "(" else lo <= x) & (x < hi if ends[1] == ")" else x <= hi)
+
+
 def rho_in_range(rho):
-    """The rule for ``rho``, finite and >= 0, as a bool, or as a mask of a
-    numpy array's values (``SchemeParams`` and rho sweeps)."""
-    return (0 <= rho) & (rho < math.inf)
+    return within(rho, *RHO)  # SchemeParams and rho sweeps
 
 
 def J_in_range(J, T: int):
-    """The rule for ``J``, finite and >= T, as a bool, or as a mask of a
-    numpy array's values (``SchemeParams`` and J sweeps)."""
-    return (T <= J) & (J < math.inf)
+    return within(J, *J_domain(T))  # SchemeParams and J sweeps
 
 
-def check_rho(rho: float) -> None:
-    if not rho_in_range(rho):
-        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
+def check_real(name: str, value, lo, hi, ends: str, *, lo_name: str = "", huge_ok: bool = False):
+    """The rule for every real argument: a number with a float value (an int, a float, a
+    bool or a numpy scalar; never NaN) in the domain lo..hi with the given ends, named
+    ``lo_name`` in the message if set; returned unchanged.  An int beyond float range is
+    refused, unless ``huge_ok`` takes it as a value past every float, as inf is."""
+    if not hasattr(value, "__float__") or isinstance(value, complex):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond float range
+        if not huge_ok:
+            raise ValueError(f"{name} is too large for float arithmetic") from None
+        x = math.inf
+    if not within(x, lo, hi, ends):
+        if hi < math.inf:
+            rule = f"in {ends[0]}{lo}, {hi}{ends[1]}"
+        elif lo == -math.inf:
+            rule = "finite"
+        else:  # ">= 0", "finite and > 0", "finite and >= T (2)", ...
+            finite = "finite and " if ends[1] == ")" else ""
+            low = f"{lo_name} ({lo})" if lo_name else lo
+            rule = f"{finite}{'>' if ends[0] == '(' else '>='} {low}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
-def check_J(J: float, T: int) -> None:
-    if not J_in_range(J, T):
-        raise ValueError(f"J must be finite and >= T ({T}), got {J!r}")
-
-
-def check_sigma2(sigma2: float) -> None:
-    if not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be finite and > 0, got {sigma2!r}")
+def check_member(name: str, value, kind: type[Enum]) -> None:
+    """The rule for every scheme, regime and hold argument: a member of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__} member, got {value!r}")
 
 
 def check_count(name: str, value, lo: float = 1, hi: float = math.inf) -> int:
@@ -71,11 +98,6 @@ def check_count(name: str, value, lo: float = 1, hi: float = math.inf) -> int:
 
 def check_T(T: int) -> int:
     return check_count("T", T, 1, T_MAX)
-
-
-def check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta!r}")
 
 
 @dataclass(frozen=True)
@@ -107,20 +129,15 @@ class SchemeParams:
     L: float = 100.0
 
     def __post_init__(self) -> None:
-        # c_buf is left out: an int beyond float range is an unbounded buffer,
-        # as c_buf = inf is
-        for name in ("rho", "T", "J", "sigma2", "B", "L"):
-            try:
-                math.isfinite(getattr(self, name))
-            except OverflowError:  # an int beyond float range
-                raise ValueError(f"{name} is too large for float arithmetic") from None
+        # T and B are counts that float arithmetic reads too
+        for name in ("T", "B"):
+            check_real(name, getattr(self, name), -math.inf, math.inf, "()")
         object.__setattr__(self, "T", check_T(self.T))
         object.__setattr__(self, "B", check_count("B", self.B))
-        check_rho(self.rho)
-        check_sigma2(self.sigma2)
-        check_J(self.J, self.T)
-        check_eta(self.eta)
-        if not self.c_buf > 0:
-            raise ValueError(f"c_buf must be > 0, got {self.c_buf!r}")
-        if not 0 < self.L < math.inf:
-            raise ValueError(f"L must be finite and > 0, got {self.L!r}")
+        check_real("rho", self.rho, *RHO)
+        check_real("sigma2", self.sigma2, *SIGMA2)
+        check_real("J", self.J, *J_domain(self.T), lo_name="T")
+        check_real("eta", self.eta, *ETA)
+        # an int beyond float range is an unbounded buffer, as c_buf = inf is
+        check_real("c_buf", self.c_buf, 0, math.inf, "(]", huge_ok=True)
+        check_real("L", self.L, 0, math.inf, "()")

@@ -26,9 +26,7 @@ index (the counter-based seeding of Salmon et al., SC'11) and never by
 thread.  The PCG64 states of all the blocks are computed in one numpy pass
 before any chunk runs (:func:`_block_states`), equal bit for bit to those of
 ``SeedSequence(seed).spawn``, which a test checks against numpy; the threads
-only build each block's generator from its state.  Seeding the 40 blocks of
-a 10**4-trial run went from about 440 us (``spawn`` plus one ``default_rng``
-a block) to about 90 us on a 2-core x86-64 host.  Worker threads take
+only build each block's generator from its state.  Worker threads take
 chunks: runs of whole blocks, laid out by ``trials``, ``T`` and |support|
 alone, that share one draw buffer and are reduced together, each trial by
 the same expressions in any chunk.  A chunk writes its own slice of the
@@ -64,7 +62,8 @@ import numpy as np
 
 from .closedform import combined_sinr
 from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall, UnsupportedCombination
-from .params import Regime, Scheme, check_count, check_eta, check_rho, check_sigma2, check_T
+from .params import (ETA, RHO, SIGMA2, Regime, Scheme, check_count, check_member, check_real,
+                     check_T)
 
 # Trials per block: one generator, so one slice of the random streams.
 # Fixed, so that the streams depend on neither the worker count nor the
@@ -152,8 +151,7 @@ def make_equicorrelated_signatures(m: int, J: int, eta: float) -> np.ndarray:
     (``params.check_count``).
     """
     m, J = check_count("m", m), check_count("J", J)
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must be in [0, 1), got {eta!r}")
+    check_real("eta", eta, 0, 1, "[)")
     if m < J + 1:
         raise DimensionTooSmall(f"m={m} < J+1={J + 1} cannot host {J} equi-correlated signatures")
     sigs = np.zeros((J, m), dtype=complex)
@@ -196,8 +194,8 @@ def simulate_cc_noma_sinr(
     for any value.  rho, sigma2 and T follow ``SchemeParams``; the user
     indices, ``trials``, ``seed`` and ``workers`` follow ``params.check_count``.
     """
-    check_rho(rho)
-    check_sigma2(sigma2)
+    check_real("rho", rho, *RHO)
+    check_real("sigma2", sigma2, *SIGMA2)
     T = check_T(T)
     if len(active_per_slot) != T:
         raise ValueError(f"active_per_slot has {len(active_per_slot)} slots, expected T={T}")
@@ -335,9 +333,10 @@ def analytic_sinr(
     :func:`harqscale.closedform.rate_function`.  rho, T and eta follow the
     rules of ``SchemeParams``; the counts follow ``params.check_count``.
     """
-    check_rho(rho)
+    check_member("scheme", scheme, Scheme)
+    check_real("rho", rho, *RHO)
     T = check_T(T)
-    check_eta(eta)
+    check_real("eta", eta, *ETA)
     counts = _slot_counts(per_slot_counts)
     if len(counts) != T:
         raise ValueError(f"per_slot_counts has {len(counts)} slots, expected T={T}")
@@ -408,10 +407,13 @@ def verify_cc_oma_noise_expansion(
     finite, raises DegenerateResidual.
     """
     counts = _slot_counts(per_slot_counts)
-    check_sigma2(sigma2)
+    check_real("sigma2", sigma2, *SIGMA2)
     trials, seed = check_count("trials", trials), check_count("seed", seed, 0)
     T = len(counts)
-    amps = np.asarray(amplitude_samples, dtype=float)
+    try:
+        amps = np.asarray(amplitude_samples, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"amplitude_samples must hold floats: {exc}") from None
     if amps.shape not in ((), (1,), (T,)):
         raise ValueError(f"amplitude_samples has {amps.size} values for {T} slots")
     amps = np.broadcast_to(amps, (T,))

@@ -27,7 +27,7 @@ from itertools import compress
 from .closedform import checked_db, decibels, rate_function
 from .closedform import evaluate  # noqa: F401  (bench/spans.py wraps this name when tracing)
 from .errors import EmptyCurve, GridMismatch, HarqScaleError
-from .params import J_in_range, Regime, Scheme, SchemeParams, check_count, rho_in_range
+from .params import J_in_range, Regime, Scheme, SchemeParams, check_count, check_real, rho_in_range
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class Curve:
 def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[float, ...]:
     """An ascending grid of ``points`` (``params.check_count``); ``scale`` is "log" or "linear"."""
     points = check_count("points", points)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"grid bounds must be finite, got {lo!r} and {hi!r}")
+    for bound in (lo, hi):
+        check_real("grid bounds", bound, -math.inf, math.inf, "()")
     if not lo < hi:
         raise ValueError(f"grid needs min < max, got {lo!r} >= {hi!r}")
     if scale not in ("log", "linear"):
@@ -63,7 +63,8 @@ def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[fl
     import numpy as np
 
     space = np.geomspace if scale == "log" else np.linspace
-    return tuple(space(lo, hi, points).tolist())
+    # an int bound beyond int64 would make numpy's arithmetic object-typed
+    return tuple(space(float(lo), float(hi), points).tolist())
 
 
 def _sweep(
@@ -77,7 +78,10 @@ def _sweep(
 ) -> Curve:
     import numpy as np
 
-    grid = tuple(map(float, grid))
+    try:
+        grid = tuple(map(float, grid))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{sweep_var} grid must hold floats: {exc}") from None
     values = np.array(grid, dtype=float)
     if (values[1:] <= values[:-1]).any():
         raise ValueError(f"{sweep_var} grid must be strictly ascending, got {grid!r}")
@@ -111,7 +115,8 @@ def _sweep(
         se[i], ebn0[i], keep[i] = se_i, ebn0_i, True
     n_points = int(np.count_nonzero(keep))
     if not n_points:
-        raise EmptyCurve(f"every {sweep_var} grid point errored ({values.size} skipped)")
+        raise EmptyCurve(f"every {sweep_var} grid point errored ({values.size} skipped)"
+                         if values.size else f"the {sweep_var} grid is empty")
     # the grid's own objects: curve_to_json reuses their repr
     rhos = grid if n_points == values.size else compress(grid, keep.tolist())
     ys = se[keep] / y_divisor  # se / 1.0 is se to the bit

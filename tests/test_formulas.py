@@ -9,6 +9,7 @@ re-imports the script live so the two can never drift silently.
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,10 +26,12 @@ from harqscale import (
     make_equicorrelated_signatures,
     make_grid,
     qinv,
+    se_curve,
     simulate_cc_noma_sinr,
     total_power,
 )
-from harqscale.params import T_MAX
+from harqscale.params import T_MAX, J_in_range, rho_in_range
+from harqscale.tables import curve_to_json
 
 LN2 = math.log(2.0)
 
@@ -475,3 +478,39 @@ def test_integer_like_counts_are_coerced():
     assert analytic_sinr(Scheme.CC_NOMA, 1.0, 2.0, (5.0, 5.0), 0.1) == analytic_sinr(
         Scheme.CC_NOMA, 1.0, 2, (5, 5), 0.1)
     assert make_grid(1.0, 2.0, 5.0) == make_grid(1.0, 2.0, 5)
+
+
+def test_real_values_pass_the_rules_unchanged():
+    # params.check_real coerces nothing: an int rho stays the int that
+    # curve_to_json writes into meta, an int buffer beyond float range is an
+    # unbounded one, as c_buf = inf is, and numpy scalars and bools are numbers
+    p = SchemeParams(rho=1, T=2, J=10.0)
+    assert type(p.rho) is int
+    curve = se_curve(Scheme.CC_OMA, Regime.TIN, p, (1.0, 2.0))
+    assert '"rho": 1,' in curve_to_json(curve, "0")
+    huge = SchemeParams(rho=1.0, T=2, J=4.0, c_buf=10**400)
+    assert huge.c_buf == 10**400
+    assert evaluate(Scheme.IR_OMA, Regime.SUM_OPTIMAL, huge) == evaluate(
+        Scheme.IR_OMA, Regime.SUM_OPTIMAL, SchemeParams(rho=1.0, T=2, J=4.0, c_buf=math.inf))
+    q = SchemeParams(rho=np.float32(2.0), J=np.int64(3), eta=True)
+    assert type(q.rho) is np.float32 and type(q.J) is np.int64 and q.eta is True
+    # and check_count takes a seed of any size, as SeedSequence does
+    sigs = make_equicorrelated_signatures(64, 5, 0.1)
+    est = simulate_cc_noma_sinr(sigs, 1.0, 1.0, 2, [range(5)] * 2, 0, 300, 10**400)
+    assert est.seed == 10**400 and math.isfinite(est.mean)
+    # a grid bound is any real in float range: an int beyond int64 raised numpy's TypeError
+    assert make_grid(1, 10**300, 3) == make_grid(1.0, 1e300, 3)
+
+
+@pytest.mark.parametrize("value", [-1.0, -0.0, 0, 5e-324, 1.0, 2, 3.5, 1e308, math.inf,
+                                   -math.inf, math.nan])
+def test_sweep_masks_agree_with_the_rules(value):
+    # a sweep skips, by its numpy mask, exactly the values SchemeParams refuses
+    for field, mask in [("rho", rho_in_range), ("J", lambda J: J_in_range(J, 2))]:
+        try:
+            SchemeParams(**{"T": 2, "J": 2.0, field: value})
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert mask(value) == accepted
+        assert mask(np.array([value])).tolist() == [accepted]

@@ -14,11 +14,11 @@ from harqscale import (
     Curve, DegenerateRate, DegenerateResidual, DesiredInactive, DimensionTooSmall, EmptyCurve,
     GridMismatch, HarqScaleError, Hold, InvalidSlot, Regime, Scheme, SchemeParams,
     UnsupportedCombination, analytic_sinr, buffer_rate_from_quant_noise,
-    ebn0_cbuf_infinity_ir_tin, ebn0_floor, ebn0_rho_zero_limit, evaluate, fbl_rate, find_crossing,
-    ir_quant_noise, make_equicorrelated_signatures, make_grid, min_ebn0, se_curve,
-    simulate_cc_noma_sinr, verify_cc_oma_noise_expansion,
+    density_curve, ebn0_cbuf_infinity_ir_tin, ebn0_floor, ebn0_rho_zero_limit, evaluate, fbl_rate,
+    find_crossing, ir_quant_noise, make_equicorrelated_signatures, make_grid, min_ebn0, qinv,
+    se_curve, simulate_cc_noma_sinr, verify_cc_oma_noise_expansion,
 )
-from harqscale.closedform import combined_sinr
+from harqscale.closedform import combined_sinr, rate_function
 from harqscale.params import T_MAX
 
 NAN, INF = math.nan, math.inf
@@ -47,6 +47,27 @@ def _analytic(scheme=CC_NOMA, rho=1.0, T=2, counts=(5, 5), eta=0.1):
 def _expansion(amplitude=1.0, counts=(5, 5), sigma2=1.0, trials=100, seed=0):
     return partial(verify_cc_oma_noise_expansion, amplitude, counts, sigma2, trials, seed)
 
+
+
+def _fbl(**kwargs):
+    return partial(fbl_rate, **{"sinr": 1.0, "n": 100, "epsilon": 1e-3, **kwargs})
+
+
+# every real argument outside SchemeParams: (row id, name, the call at a given value)
+REAL_ARGUMENTS = [
+    ("sinr-rho", "rho", lambda v: _sinr(rho=v)),
+    ("sinr-sigma2", "sigma2", lambda v: _sinr(sigma2=v)),
+    ("analytic-rho", "rho", lambda v: _analytic(rho=v)),
+    ("analytic-eta", "eta", lambda v: _analytic(eta=v)),
+    ("signatures-eta", "eta", lambda v: partial(make_equicorrelated_signatures, 11, 10, v)),
+    ("expansion-sigma2", "sigma2", lambda v: _expansion(sigma2=v)),
+    ("buffer-rate-sigma_q2", "sigma_q2", lambda v: partial(buffer_rate_from_quant_noise, P, v)),
+    ("qinv-epsilon", "epsilon", lambda v: partial(qinv, v)),
+    *((f"fbl-{name}", name, lambda v, name=name: _fbl(**{name: v}))
+      for name in ("sinr", "n", "epsilon")),
+    ("grid-min", "grid bounds", lambda v: partial(make_grid, v, 2.0, 5)),
+    ("grid-max", "grid bounds", lambda v: partial(make_grid, 1.0, v, 5)),
+]
 
 REFUSED = [
     # each field's message starts with its name
@@ -142,6 +163,49 @@ REFUSED = [
              "^amplitude_samples has 3 values for 2 slots$", _expansion((1.0, 2.0, 3.0))),
     _refused("grid-points-2.5", ValueError, "^points must be an integer, got 2.5$",
              make_grid, 1.0, 2.0, 2.5),
+    # params.check_real, the rule for every real argument: a number with a float
+    # value in its domain.  A non-number got a TypeError that named nothing, and
+    # an int beyond float range an OverflowError, a DegenerateRate blaming J, or
+    # a range message printing 400 digits
+    *(_refused(f"params-{name}-{value!r}", ValueError, f"^{name} must be a real number, got ",
+               SchemeParams, **{name: value})
+      for name, value in [("rho", "1"), ("T", "1"), ("J", "1"), ("eta", "1"), ("sigma2", None),
+                          ("B", None), ("c_buf", None), ("L", "1")]),
+    _refused("params-eta-beyond-float", ValueError, "^eta is too large for float arithmetic$",
+             SchemeParams, eta=10**400),
+    *(_refused(f"{row_id}-beyond-float", ValueError, f"^{name} is too large for float arithmetic$",
+               call(10**400))
+      for row_id, name, call in REAL_ARGUMENTS),
+    *(_refused(f"{row_id}-none", ValueError, f"^{name} must be a real number, got None$",
+               call(None))
+      for row_id, name, call in REAL_ARGUMENTS),
+    _refused("fbl-sinr-'x'", ValueError, "^sinr must be a real number, got 'x'$", fbl_rate, "x",
+             10, 0.1),
+    # a magnitude beyond float range got numpy's OverflowError
+    _refused("expansion-amplitude-beyond-float", ValueError,
+             "^amplitude_samples must hold floats: int too large", _expansion(10**400)),
+    # a grid's values become floats once, with no check per value; the error
+    # names the grid
+    *(_refused(f"{sweep}-grid-{grid!r:.20}", ValueError, f"^{var} grid must hold floats: ", curve,
+               CLASSICAL, SUM, P, grid)
+      for sweep, var, curve, grid in [("se", "rho", se_curve, ["a", "b"]),
+                                      ("se", "rho", se_curve, [1, 10**400]),
+                                      ("density", "J", density_curve, [2, 10**400])]),
+    _refused("se-grid-empty", EmptyCurve, "^the rho grid is empty$", se_curve, CLASSICAL, SUM, P,
+             []),
+    # params.check_member: a scheme, regime or hold that is not a member was
+    # read as TIN by some branches and as sum-optimal by others, or raised an
+    # AttributeError
+    *(_refused(f"{row_id}-not-a-member", ValueError, f"^{name} must be a {kind} member, got ",
+               call)
+      for row_id, name, kind, call in [
+          ("rate-function", "regime", "Regime", partial(rate_function, CLASSICAL, "sum", P)),
+          ("combined-sinr", "regime", "Regime",
+           partial(combined_sinr, CC_NOMA, "sum", 1.0, 2, 10.0, 0.1)),
+          ("analytic", "scheme", "Scheme", _analytic("cc-noma")),
+          ("quant-noise", "regime", "Regime", partial(ir_quant_noise, P, "sum", 1, 1)),
+          ("floor", "scheme", "Scheme", partial(ebn0_floor, "cc-noma", TIN, P)),
+          ("rho-zero", "hold", "Hold", partial(ebn0_rho_zero_limit, CC_NOMA, TIN, P, "p_tot"))]),
     *(_refused(f"sinr-active-{bad}", ValueError,
                r"^active_per_slot has indices outside 0\.\.4 in slot 1$", _sinr(T=1, active=[bad]))
       for bad in ((0, 5), (0, -1))),
