@@ -328,7 +328,7 @@ def fbl_rate(sinr: float, n: float, epsilon: float) -> float:
     Normal approximation: capacity minus the dispersion penalty
     sqrt(V/(2n)) * Qinv(epsilon), floored at zero.
     """
-    check_real("sinr", sinr, 0, math.inf, "[]"), check_real("n", n, 1, math.inf, "[]")
+    check_real("sinr", sinr, 0, math.inf, "[)"), check_real("n", n, 1, math.inf, "[]")
     if sinr == 0.0:
         return 0.0
     cap = 0.5 * _log2(1.0 + sinr)

@@ -10,6 +10,7 @@ which is the simulator's job.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,12 +54,19 @@ def J_in_range(J, T: int):
     return within(J, *J_domain(T))  # SchemeParams and J sweeps
 
 
+def _real_type(kind: type) -> bool:
+    """Whether ``kind`` is a real number type: one with a float value, but no string or complex."""
+    np = sys.modules.get("numpy")  # a numpy complex exists only once numpy is loaded
+    return (hasattr(kind, "__float__") and not issubclass(kind, (str, bytes, complex))
+            and not (np and issubclass(kind, np.complexfloating)))
+
+
 def check_real(name: str, value, lo, hi, ends: str, *, lo_name: str = "", huge_ok: bool = False):
-    """The rule for every real argument: a number with a float value (an int, a float, a
-    bool or a numpy scalar; never NaN) in the domain lo..hi with the given ends, named
-    ``lo_name`` in the message if set; returned unchanged.  An int beyond float range is
-    refused, unless ``huge_ok`` takes it as a value past every float, as inf is."""
-    if not hasattr(value, "__float__") or isinstance(value, complex):
+    """The rule for every real argument: a real number (an int, float, bool, numpy real
+    scalar or bool, Fraction or Decimal; never NaN) in the domain lo..hi with the given ends,
+    named ``lo_name`` in the message if set; returned unchanged.  An int beyond float range
+    is refused, unless ``huge_ok`` takes it as a value past every float, as inf is."""
+    if not _real_type(type(value)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
@@ -77,6 +85,19 @@ def check_real(name: str, value, lo, hi, ends: str, *, lo_name: str = "", huge_o
             rule = f"{finite}{'>' if ends[0] == '(' else '>='} {low}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+def check_reals(name: str, values) -> tuple[float, ...]:
+    """The rule for every sequence of reals: ``check_real``'s type test, made once a type, then
+    one float() pass, where a float stays its own object; ``name`` names a value that fails."""
+    try:
+        values = tuple(values)
+        if not all(map(_real_type, set(map(type, values)))):
+            bad = next(v for v in values if not _real_type(type(v)))
+            raise TypeError(f"{bad!r} is not a real number")
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must hold floats: {exc}") from None
 
 
 def check_member(name: str, value, kind: type[Enum]) -> None:

@@ -63,7 +63,7 @@ import numpy as np
 from .closedform import combined_sinr
 from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall, UnsupportedCombination
 from .params import (ETA, RHO, SIGMA2, Regime, Scheme, check_count, check_member, check_real,
-                     check_T)
+                     check_reals, check_T)
 
 # Trials per block: one generator, so one slice of the random streams.
 # Fixed, so that the streams depend on neither the worker count nor the
@@ -170,6 +170,14 @@ class SinrEstimate:
     seed: int
 
 
+def _positive_normal(arg: str, check: str, what: str, value: float) -> None:
+    """The range rule for the oracle's powers: ``value`` is a positive normal float (a
+    subnormal one has lost digits), or DegenerateResidual names ``arg`` and ``what``."""
+    if not _NORMAL_MIN <= value < math.inf:
+        raise DegenerateResidual(f"{arg} is out of range for {check}: {what} = {value!r} is "
+                                 f"not a positive normal float")
+
+
 def simulate_cc_noma_sinr(
     sigs: np.ndarray,
     rho: float,
@@ -214,16 +222,11 @@ def simulate_cc_noma_sinr(
     a2 = rho * sigma2
     signal = T * a2  # desired part of the combined matched-filter output
     # The estimate divides by the squares of the signal power and of the mean
-    # residual power, so each must be a normal float (a subnormal one has
-    # lost digits); that bounds rho*sigma2 on both sides.  The signal's is
-    # known before any trial is drawn, and a run past its bound would
-    # overflow on the way.
-    if not _NORMAL_MIN <= signal * signal < math.inf:
-        raise DegenerateResidual(
-            f"rho*sigma2 = {a2!r} is out of range for the SINR estimate: it squares the "
-            f"signal power {signal!r}, and the square fell below the normal float range "
-            f"or overflowed"
-        )
+    # residual power, so each must be a normal float; that bounds rho*sigma2
+    # on both sides.  The signal's is known before any trial is drawn, and a
+    # run past its bound would overflow on the way.
+    arg, check = f"rho*sigma2 = {a2!r}", "the SINR estimate"
+    _positive_normal(arg, check, "the squared signal power", signal * signal)
     a = math.sqrt(a2)
     scale = math.sqrt(sigma2 / 2.0)
     desired_conj = np.conj(sigs[desired])
@@ -279,12 +282,7 @@ def simulate_cc_noma_sinr(
 
     with np.errstate(over="ignore"):
         mean_res = float(np.sum(res_power)) / trials
-    if not _NORMAL_MIN <= mean_res * mean_res < math.inf:
-        raise DegenerateResidual(
-            f"rho*sigma2 = {a2!r} is out of range for the SINR estimate: it squares the "
-            f"mean residual power {mean_res!r}, and the square fell below the normal "
-            f"float range or overflowed"
-        )
+    _positive_normal(arg, check, "the squared mean residual power", mean_res * mean_res)
     mean_sinr = signal * signal / mean_res
     if trials > 1:
         # a large rho*sigma2 puts the filtered noise below the last bit of the
@@ -293,7 +291,7 @@ def simulate_cc_noma_sinr(
         # would say nothing about the estimate's spread
         if res_power.min() == res_power.max():
             raise DegenerateResidual(
-                f"rho*sigma2 = {a2!r} is out of range for the SINR estimate's half-width: "
+                f"{arg} is out of range for {check}'s half-width: "
                 f"all {trials} trials gave the same residual power {mean_res!r}, so the "
                 f"filtered noise never reached it"
             )
@@ -301,12 +299,8 @@ def simulate_cc_noma_sinr(
         # the numerator is formed before the division, so it needs the same
         # normal range, or a small rho*sigma2 gives a half-width of 0.0
         spread = 1.96 * signal * signal * math.sqrt(var_res / trials)
-        if not _NORMAL_MIN <= spread < math.inf:
-            raise DegenerateResidual(
-                f"rho*sigma2 = {a2!r} is out of range for the SINR estimate's half-width: "
-                f"1.96 * signal power**2 * sqrt(residual variance / trials) = {spread!r} "
-                f"is not a normal float"
-            )
+        _positive_normal(arg, f"{check}'s half-width",
+                         "1.96 * signal power**2 * sqrt(residual variance / trials)", spread)
         half_width = spread / mean_res**2
     else:
         half_width = 0.0
@@ -399,46 +393,37 @@ def verify_cc_oma_noise_expansion(
     grid, float64 phasors of modulus 1, chunked trials).  Returns the
     relative deviation of the sampled mean of the interference-plus-noise
     power from the closed form.  ``amplitude_samples`` is a common magnitude
-    (scalar) or one magnitude per slot, finite and >= 0; sigma2 follows the
-    rule of ``SchemeParams``; the counts, ``trials`` and ``seed`` follow
-    ``params.check_count``.  An amplitude whose powers leave the float range,
-    so that the expected power or its interference part (when there are
-    interferers) is not a positive normal float or the deviation is not
-    finite, raises DegenerateResidual.
+    or one magnitude per slot (``params.check_reals``), finite and >= 0;
+    sigma2 follows the rule of ``SchemeParams``; the counts, ``trials`` and
+    ``seed`` follow ``params.check_count``.  An amplitude whose powers leave
+    the float range, so that the expected power, its interference part (when
+    there are interferers) or the sampled power is not a positive normal
+    float, raises DegenerateResidual.
     """
     counts = _slot_counts(per_slot_counts)
     check_real("sigma2", sigma2, *SIGMA2)
     trials, seed = check_count("trials", trials), check_count("seed", seed, 0)
     T = len(counts)
-    try:
-        amps = np.asarray(amplitude_samples, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"amplitude_samples must hold floats: {exc}") from None
-    if amps.shape not in ((), (1,), (T,)):
+    # one magnitude or a sequence, as numpy nests it: a nested value is no number
+    amps = np.array(check_reals("amplitude_samples",
+                                np.array(amplitude_samples, dtype=object, ndmin=1).tolist()))
+    if amps.size not in (1, T):
         raise ValueError(f"amplitude_samples has {amps.size} values for {T} slots")
     amps = np.broadcast_to(amps, (T,))
     if not ((0.0 <= amps) & (amps < math.inf)).all():
         raise ValueError(f"amplitude_samples must be finite and >= 0, got {amplitude_samples!r}")
 
     interferers = np.array(counts) - 1
+    arg, check = f"amplitude_samples = {amplitude_samples!r}", "the noise-expansion check"
     # a power out of the float range is reported below, by name
     with np.errstate(over="ignore", invalid="ignore"):
         noise_term = sigma2 * float(np.sum(amps**2))
         interference = float(np.sum(interferers * amps**4))
         expected = interference + noise_term
-        if not (_NORMAL_MIN <= expected < math.inf
-                and (_NORMAL_MIN <= interference or not interferers.any())):
-            raise DegenerateResidual(
-                f"amplitude_samples = {amplitude_samples!r} is out of range for the "
-                f"noise-expansion check: the expected power {expected!r} or its "
-                f"interference part {interference!r} is not a positive normal float"
-            )
+        _positive_normal(arg, check, "the expected power", expected)
+        if interferers.any():
+            _positive_normal(arg, check, "the interference part", interference)
         weights = np.repeat(amps * amps, interferers)
         sampled = float(np.mean(_relative_phase_power(weights, trials, seed))) + noise_term
-    deviation = abs(sampled - expected) / expected
-    if not deviation < math.inf:
-        raise DegenerateResidual(
-            f"amplitude_samples = {amplitude_samples!r} is out of range for the "
-            f"noise-expansion check: the sampled power {sampled!r} is not finite"
-        )
-    return deviation
+    _positive_normal(arg, check, "the sampled power", sampled)
+    return abs(sampled - expected) / expected

@@ -6,6 +6,7 @@ it).  Each curve builds its rate function (``closedform.rate_function``) once,
 with every fixed parameter bound, and evaluates the whole grid with it as
 numpy columns; every number a point holds is a Python float.
 
+A grid holds real numbers (``params.check_reals``), made floats in one pass.
 A grid value that fails a rule is skipped and counted, never emitted as NaN:
 the rule ``SchemeParams`` applies to the swept field (``rho_in_range`` or
 ``J_in_range``), rho = 0, and the checks ``checked_db`` makes on a result.
@@ -27,7 +28,8 @@ from itertools import compress
 from .closedform import checked_db, decibels, rate_function
 from .closedform import evaluate  # noqa: F401  (bench/spans.py wraps this name when tracing)
 from .errors import EmptyCurve, GridMismatch, HarqScaleError
-from .params import J_in_range, Regime, Scheme, SchemeParams, check_count, check_real, rho_in_range
+from .params import (J_in_range, Regime, Scheme, SchemeParams, check_count, check_real, check_reals,
+                     rho_in_range)
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,7 @@ def _sweep(
 ) -> Curve:
     import numpy as np
 
-    try:
-        grid = tuple(map(float, grid))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{sweep_var} grid must hold floats: {exc}") from None
+    grid = check_reals(f"{sweep_var} grid", grid)
     values = np.array(grid, dtype=float)
     if (values[1:] <= values[:-1]).any():
         raise ValueError(f"{sweep_var} grid must be strictly ascending, got {grid!r}")
@@ -91,7 +90,7 @@ def _sweep(
     # se and ebn0 of each value, NaN where it fails the field rule or rho = 0
     se = np.full(values.size, math.nan)
     ebn0 = se.copy()
-    ok = in_range(values) & ((values != 0.0) if by_rho else (rho != 0.0))
+    ok = in_range(values)
     if ok.any():
         with np.errstate(all="ignore"):
             try:

@@ -8,6 +8,8 @@ re-imports the script live so the two can never drift silently.
 
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -500,6 +502,14 @@ def test_real_values_pass_the_rules_unchanged():
     assert est.seed == 10**400 and math.isfinite(est.mean)
     # a grid bound is any real in float range: an int beyond int64 raised numpy's TypeError
     assert make_grid(1, 10**300, 3) == make_grid(1.0, 1e300, 3)
+    # params.check_reals takes a grid as any iterable of reals: numpy's bool and
+    # the standard library's exact types included
+    grid = (0.5, 1.0, 2.0)
+    curves = [se_curve(Scheme.CC_OMA, Regime.TIN, p, g)
+              for g in (grid, list(grid), np.array(grid), (x for x in grid))]
+    assert all(c == curves[0] for c in curves) and curves[0].grid == grid
+    exact = se_curve(Scheme.CC_OMA, Regime.TIN, p, (Fraction(1, 2), np.bool_(True), Decimal(2)))
+    assert exact == curves[0]
 
 
 @pytest.mark.parametrize("value", [-1.0, -0.0, 0, 5e-324, 1.0, 2, 3.5, 1e308, math.inf,

@@ -8,6 +8,7 @@ call warns before it refuses fails."""
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 
 from harqscale import (
@@ -107,6 +108,9 @@ REFUSED = [
       for name, args in [("sinr", (-0.5, 100, 1e-3)), ("sinr", (NAN, 100, 1e-3)),
                          ("n", (1.0, 0, 1e-3)), ("n", (1.0, NAN, 1e-3)),
                          *(("epsilon", (1.0, 100, eps)) for eps in (0.0, 0.5, 1.0))]),
+    # log2(1 + inf) / 2 was returned as a rate
+    _refused("fbl-sinr-inf", ValueError, "^sinr must be finite and >= 0, got inf$", fbl_rate, INF,
+             100, 1e-3),
     *(_refused(f"floor-{s.value}-{r.value}", UnsupportedCombination,
                f"floor for {s.value}/{r.value};", ebn0_floor, s, r, P)
       for s, r in [(CLASSICAL, SUM), (CLASSICAL, TIN), (CC_OMA, SUM), (IR_OMA, SUM),
@@ -184,13 +188,35 @@ REFUSED = [
     # a magnitude beyond float range got numpy's OverflowError
     _refused("expansion-amplitude-beyond-float", ValueError,
              "^amplitude_samples must hold floats: int too large", _expansion(10**400)),
-    # a grid's values become floats once, with no check per value; the error
-    # names the grid
+    # a grid's values become floats in one pass; the error names the grid
     *(_refused(f"{sweep}-grid-{grid!r:.20}", ValueError, f"^{var} grid must hold floats: ", curve,
                CLASSICAL, SUM, P, grid)
       for sweep, var, curve, grid in [("se", "rho", se_curve, ["a", "b"]),
                                       ("se", "rho", se_curve, [1, 10**400]),
                                       ("density", "J", density_curve, [2, 10**400])]),
+    # params.check_reals, the rule for a grid's values and amplitude samples:
+    # check_real's type test, made once a type.  float() read each string as a
+    # number, and a numpy complex after a ComplexWarning; numpy read the string
+    # array as floats and the nested amplitude as a shape
+    *(_refused(f"params-rho-{type(value).__name__}", ValueError,
+               "^rho must be a real number, got ", SchemeParams, rho=value)
+      for value in (np.complex64(1), np.str_("1"), np.bytes_(b"1"))),
+    _refused("grid-min-complex64", ValueError, "^grid bounds must be a real number, got ",
+             make_grid, np.complex64(1), 2.0, 3),
+    *(_refused(f"{row_id}-grid-not-real", ValueError,
+               f"^{var} grid must hold floats: .* is not a real number$", curve, CLASSICAL, SUM,
+               P, grid)
+      for row_id, var, curve, grid in [("se-strings", "rho", se_curve, ["1", "2"]),
+                                       ("se-string", "rho", se_curve, "12"),
+                                       ("se-string-array", "rho", se_curve, np.array(["1", "2"])),
+                                       ("se-complex64", "rho", se_curve, [np.complex64(1), 2.0]),
+                                       ("density-strings", "J", density_curve, ["2", "3"])]),
+    *(_refused(f"expansion-amplitude-{row_id}", ValueError,
+               "^amplitude_samples must hold floats: .* is not a real number$",
+               _expansion(amplitude))
+      for row_id, amplitude in [("string", "1.0"), ("strings", ["1.0", "2.0"]),
+                                ("string-array", np.array(["1", "2"])),
+                                ("complex64", np.complex64(1)), ("nested", [[1.0, 2.0]])]),
     _refused("se-grid-empty", EmptyCurve, "^the rho grid is empty$", se_curve, CLASSICAL, SUM, P,
              []),
     # params.check_member: a scheme, regime or hold that is not a member was
