@@ -166,7 +166,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     if ns.command == "validate":
         for key in ("trials", "workers", "m", "users_per_slot"):
             check_count(key, m[key])
-        check_real("tolerance", m["tolerance"], 0, math.inf, "(]")
+        m["tolerance"] = check_real("tolerance", m["tolerance"], 0, math.inf, "(]")
         check_count("seed", m["seed"], 0)
         for names, bound in VALIDATE_BOUNDS.items():
             factors = [m[name] for name in names.split(" * ")]
@@ -174,10 +174,10 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{names} must be <= {bound}, "
                                   f"got {' * '.join(map(str, factors))}")
         # the oracle runs users_per_slot transmissions in each of the T slots
-        m["J"] = float(m["T"] * m["users_per_slot"])
+        m["J"] = m["T"] * m["users_per_slot"]
     elif ns.command == "density" and m["J"] < m["T"]:
         # density sweeps J: keep the unused base value compatible with T
-        m["J"] = float(m["T"])
+        m["J"] = m["T"]
     params = SchemeParams(**{name: m.pop(name) for name in _PARAM_DEFAULTS})
     # make_grid checks the bounds; only a curve needs a second point
     if ns.command in _CURVES and not 2 <= m["grid_points"] <= GRID_POINTS_MAX:

@@ -38,7 +38,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateRate, InvalidSlot, UnsupportedCombination
-from .params import Regime, Scheme, SchemeParams, check_count, check_member, check_real
+from .params import (ETA, RHO, J_domain, Regime, Scheme, SchemeParams, check_count, check_member,
+                     check_real, check_T)
 
 _LN2 = math.log(2.0)
 
@@ -148,7 +149,7 @@ def combined_sinr(
     scheme: Scheme, regime: Regime, rho: float, T: int, J: float, eta: float
 ) -> float:
     """Combined-channel SINR of classical, CC-NOMA and CC-OMA, J transmissions
-    over T slots.
+    over T slots; rho, T, J and eta follow the rules of ``SchemeParams``.
 
     CC-NOMA's J - T interferers add coherently (the squared term in eta);
     CC-OMA leaks only through the shared slot budget (eta unused).  The
@@ -157,6 +158,9 @@ def combined_sinr(
     DegenerateRate; IR-OMA raises UnsupportedCombination.
     """
     check_member("scheme", scheme, Scheme), check_member("regime", regime, Regime)
+    T = check_T(T)
+    rho = check_real("rho", rho, *RHO)
+    J, eta = check_real("J", J, *J_domain(T), lo_name="T"), check_real("eta", eta, *ETA)
     sinr = _sinr_form(scheme, regime, T, eta)
     try:
         return sinr(rho, J)
@@ -227,7 +231,7 @@ def buffer_rate_from_quant_noise(params: SchemeParams, sigma_q2: float) -> float
     noise power; composing this with :func:`ir_quant_noise` is the identity
     (up to roundoff) whenever the noise was not clamped.
     """
-    check_real("sigma_q2", sigma_q2, 0, math.inf, "(]")
+    sigma_q2 = check_real("sigma_q2", sigma_q2, 0, math.inf, "(]")
     p = params
     return (p.B / 2.0) * _log2(1.0 + (p.J * p.rho + p.B) * p.sigma2 / sigma_q2)
 
@@ -317,7 +321,7 @@ def evaluate(scheme: Scheme, regime: Regime, params: SchemeParams) -> Metrics:
 def qinv(epsilon: float) -> float:
     """Inverse of the standard-normal upper tail on (0, 0.5) to full double
     precision: the standard library's -Phi^-1(epsilon), so no 1 - epsilon is rounded."""
-    check_real("epsilon", epsilon, 0, 0.5, "()")
+    epsilon = check_real("epsilon", epsilon, 0, 0.5, "()")
     from statistics import NormalDist  # it imports fractions and decimal: load on first call
     return -NormalDist().inv_cdf(epsilon)
 
@@ -328,9 +332,7 @@ def fbl_rate(sinr: float, n: float, epsilon: float) -> float:
     Normal approximation: capacity minus the dispersion penalty
     sqrt(V/(2n)) * Qinv(epsilon), floored at zero.
     """
-    check_real("sinr", sinr, 0, math.inf, "[)"), check_real("n", n, 1, math.inf, "[]")
-    if sinr == 0.0:
-        return 0.0
+    sinr, n = check_real("sinr", sinr, 0, math.inf, "[)"), check_real("n", n, 1, math.inf, "[]")
     cap = 0.5 * _log2(1.0 + sinr)
     disp = 1.0 - 1.0 / (1.0 + sinr) ** 2
     rate = cap - math.sqrt(disp / (2.0 * n)) * qinv(epsilon)

@@ -55,17 +55,17 @@ def J_in_range(J, T: int):
 
 
 def _real_type(kind: type) -> bool:
-    """Whether ``kind`` is a real number type: one with a float value, but no string or complex."""
-    np = sys.modules.get("numpy")  # a numpy complex exists only once numpy is loaded
+    """Whether ``kind`` is a real type: one with a float value, but no string, complex or array."""
+    np = sys.modules.get("numpy")  # numpy's complex and array types exist once numpy is loaded
     return (hasattr(kind, "__float__") and not issubclass(kind, (str, bytes, complex))
-            and not (np and issubclass(kind, np.complexfloating)))
+            and not (np and issubclass(kind, (np.complexfloating, np.ndarray))))
 
 
 def check_real(name: str, value, lo, hi, ends: str, *, lo_name: str = "", huge_ok: bool = False):
     """The rule for every real argument: a real number (an int, float, bool, numpy real
     scalar or bool, Fraction or Decimal; never NaN) in the domain lo..hi with the given ends,
-    named ``lo_name`` in the message if set; returned unchanged.  An int beyond float range
-    is refused, unless ``huge_ok`` takes it as a value past every float, as inf is."""
+    named ``lo_name`` in the message if set; returned as a float.  An int beyond float range
+    is refused, unless ``huge_ok`` takes it as a value past every float: it returns inf."""
     if not _real_type(type(value)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -84,7 +84,7 @@ def check_real(name: str, value, lo, hi, ends: str, *, lo_name: str = "", huge_o
             low = f"{lo_name} ({lo})" if lo_name else lo
             rule = f"{finite}{'>' if ends[0] == '(' else '>='} {low}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return value
+    return x
 
 
 def check_reals(name: str, values) -> tuple[float, ...]:
@@ -123,7 +123,7 @@ def check_T(T: int) -> int:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Common parameters for all access schemes.
+    """Common parameters for all access schemes: T and B ints, every other field a float.
 
     rho     per-user received SNR per transmission attempt (linear)
     T       number of (re)transmission attempts per frame, 1..T_MAX
@@ -153,12 +153,13 @@ class SchemeParams:
         # T and B are counts that float arithmetic reads too
         for name in ("T", "B"):
             check_real(name, getattr(self, name), -math.inf, math.inf, "()")
-        object.__setattr__(self, "T", check_T(self.T))
-        object.__setattr__(self, "B", check_count("B", self.B))
-        check_real("rho", self.rho, *RHO)
-        check_real("sigma2", self.sigma2, *SIGMA2)
-        check_real("J", self.J, *J_domain(self.T), lo_name="T")
-        check_real("eta", self.eta, *ETA)
+        store = object.__setattr__  # the record is frozen
+        store(self, "T", check_T(self.T))
+        store(self, "B", check_count("B", self.B))
+        store(self, "rho", check_real("rho", self.rho, *RHO))
+        store(self, "sigma2", check_real("sigma2", self.sigma2, *SIGMA2))
+        store(self, "J", check_real("J", self.J, *J_domain(self.T), lo_name="T"))
+        store(self, "eta", check_real("eta", self.eta, *ETA))
         # an int beyond float range is an unbounded buffer, as c_buf = inf is
-        check_real("c_buf", self.c_buf, 0, math.inf, "(]", huge_ok=True)
-        check_real("L", self.L, 0, math.inf, "()")
+        store(self, "c_buf", check_real("c_buf", self.c_buf, 0, math.inf, "(]", huge_ok=True))
+        store(self, "L", check_real("L", self.L, 0, math.inf, "()"))

@@ -62,7 +62,7 @@ import numpy as np
 
 from .closedform import combined_sinr
 from .errors import DegenerateResidual, DesiredInactive, DimensionTooSmall, UnsupportedCombination
-from .params import (ETA, RHO, SIGMA2, Regime, Scheme, check_count, check_member, check_real,
+from .params import (RHO, SIGMA2, Regime, Scheme, check_count, check_member, check_real,
                      check_reals, check_T)
 
 # Trials per block: one generator, so one slice of the random streams.
@@ -151,7 +151,7 @@ def make_equicorrelated_signatures(m: int, J: int, eta: float) -> np.ndarray:
     (``params.check_count``).
     """
     m, J = check_count("m", m), check_count("J", J)
-    check_real("eta", eta, 0, 1, "[)")
+    eta = check_real("eta", eta, 0, 1, "[)")
     if m < J + 1:
         raise DimensionTooSmall(f"m={m} < J+1={J + 1} cannot host {J} equi-correlated signatures")
     sigs = np.zeros((J, m), dtype=complex)
@@ -202,8 +202,8 @@ def simulate_cc_noma_sinr(
     for any value.  rho, sigma2 and T follow ``SchemeParams``; the user
     indices, ``trials``, ``seed`` and ``workers`` follow ``params.check_count``.
     """
-    check_real("rho", rho, *RHO)
-    check_real("sigma2", sigma2, *SIGMA2)
+    rho = check_real("rho", rho, *RHO)
+    sigma2 = check_real("sigma2", sigma2, *SIGMA2)
     T = check_T(T)
     if len(active_per_slot) != T:
         raise ValueError(f"active_per_slot has {len(active_per_slot)} slots, expected T={T}")
@@ -328,15 +328,13 @@ def analytic_sinr(
     rules of ``SchemeParams``; the counts follow ``params.check_count``.
     """
     check_member("scheme", scheme, Scheme)
-    check_real("rho", rho, *RHO)
     T = check_T(T)
-    check_real("eta", eta, *ETA)
     counts = _slot_counts(per_slot_counts)
     if len(counts) != T:
         raise ValueError(f"per_slot_counts has {len(counts)} slots, expected T={T}")
     if scheme not in (Scheme.CC_NOMA, Scheme.CC_OMA):
         raise UnsupportedCombination(f"no chase-combining SINR for {scheme.value}")
-    return combined_sinr(scheme, Regime.TIN, rho, T, float(sum(counts)), eta)
+    return combined_sinr(scheme, Regime.TIN, rho, T, sum(counts), eta)
 
 
 def _relative_phase_power(weights: np.ndarray, trials: int, seed: int) -> np.ndarray:
@@ -401,7 +399,7 @@ def verify_cc_oma_noise_expansion(
     float, raises DegenerateResidual.
     """
     counts = _slot_counts(per_slot_counts)
-    check_real("sigma2", sigma2, *SIGMA2)
+    sigma2 = check_real("sigma2", sigma2, *SIGMA2)
     trials, seed = check_count("trials", trials), check_count("seed", seed, 0)
     T = len(counts)
     # one magnitude or a sequence, as numpy nests it: a nested value is no number

@@ -54,8 +54,7 @@ class Curve:
 def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[float, ...]:
     """An ascending grid of ``points`` (``params.check_count``); ``scale`` is "log" or "linear"."""
     points = check_count("points", points)
-    for bound in (lo, hi):
-        check_real("grid bounds", bound, -math.inf, math.inf, "()")
+    lo, hi = (check_real("grid bounds", bound, -math.inf, math.inf, "()") for bound in (lo, hi))
     if not lo < hi:
         raise ValueError(f"grid needs min < max, got {lo!r} >= {hi!r}")
     if scale not in ("log", "linear"):
@@ -65,8 +64,7 @@ def make_grid(lo: float, hi: float, points: int, scale: str = "log") -> tuple[fl
     import numpy as np
 
     space = np.geomspace if scale == "log" else np.linspace
-    # an int bound beyond int64 would make numpy's arithmetic object-typed
-    return tuple(space(float(lo), float(hi), points).tolist())
+    return tuple(space(lo, hi, points).tolist())
 
 
 def _sweep(

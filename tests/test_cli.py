@@ -84,10 +84,13 @@ def test_limits_with_no_closed_forms_still_succeeds(capsys):
     assert "no closed-form limits" in capsys.readouterr().out
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_examples() -> list[tuple[list[str], str]]:
     """(argv, stdout) of each ``harqscale point|limits`` line in the README's
     ``sh`` blocks that is followed by ``# `` output lines."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     examples = []
     for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
         lines = block.splitlines()
@@ -111,6 +114,25 @@ def test_readme_cli_examples_print_what_the_readme_shows(capsys):
     for argv, shown in examples:
         assert main(argv) == 0
         assert capsys.readouterr().out == shown, argv
+
+
+def test_readme_python_quick_start_prints_what_the_readme_shows(capsys):
+    # each print(...) line with a "# 2.5646... 1.9496..." comment prints one
+    # number for each, which rounds to the digits shown
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    shown = {i: line.split("  # ")[1].split() for i, line in
+             enumerate(line for line in block.splitlines() if line.startswith("print("))
+             if "  # " in line}
+    assert shown
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    for i, shown_digits in shown.items():
+        numbers = printed[i].split()
+        assert len(numbers) == len(shown_digits), printed[i]
+        for number, digits in zip(numbers, shown_digits):
+            digits = digits.removesuffix("...")
+            places = len(digits.partition(".")[2])
+            assert f"{float(number):.{places}f}" == digits, (number, digits)
 
 
 # ------------------------------------------------------------------ curves

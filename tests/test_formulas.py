@@ -483,19 +483,19 @@ def test_integer_like_counts_are_coerced():
 
 
 def test_real_values_pass_the_rules_unchanged():
-    # params.check_real coerces nothing: an int rho stays the int that
-    # curve_to_json writes into meta, an int buffer beyond float range is an
-    # unbounded one, as c_buf = inf is, and numpy scalars and bools are numbers
+    # params.check_real returns the float it checked: an int rho becomes the
+    # float that curve_to_json writes into meta, an int buffer beyond float
+    # range is an unbounded one, inf, and numpy scalars and bools are numbers
     p = SchemeParams(rho=1, T=2, J=10.0)
-    assert type(p.rho) is int
+    assert type(p.rho) is float
     curve = se_curve(Scheme.CC_OMA, Regime.TIN, p, (1.0, 2.0))
-    assert '"rho": 1,' in curve_to_json(curve, "0")
+    assert '"rho": 1.0,' in curve_to_json(curve, "0")
     huge = SchemeParams(rho=1.0, T=2, J=4.0, c_buf=10**400)
-    assert huge.c_buf == 10**400
+    assert huge.c_buf == math.inf
     assert evaluate(Scheme.IR_OMA, Regime.SUM_OPTIMAL, huge) == evaluate(
         Scheme.IR_OMA, Regime.SUM_OPTIMAL, SchemeParams(rho=1.0, T=2, J=4.0, c_buf=math.inf))
     q = SchemeParams(rho=np.float32(2.0), J=np.int64(3), eta=True)
-    assert type(q.rho) is np.float32 and type(q.J) is np.int64 and q.eta is True
+    assert type(q.rho) is float and type(q.J) is float and type(q.eta) is float
     # and check_count takes a seed of any size, as SeedSequence does
     sigs = make_equicorrelated_signatures(64, 5, 0.1)
     est = simulate_cc_noma_sinr(sigs, 1.0, 1.0, 2, [range(5)] * 2, 0, 300, 10**400)

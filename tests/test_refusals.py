@@ -3,9 +3,13 @@ zero-argument call, the error class it raises and a needle, a regular expression
 its message matches, that names the bad argument.  One test states the contract:
 the call raises that class, a ``HarqScaleError`` or ``ValueError`` (exit 2 from the
 CLI), with the needle in its message.  Warnings are errors here, so a row whose
-call warns before it refuses fails."""
+call warns before it refuses fails.  The real arguments the rules accept are stated
+here too: a value given as any real type gives the result its float gives."""
 
+import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -21,6 +25,7 @@ from harqscale import (
 )
 from harqscale.closedform import combined_sinr, rate_function
 from harqscale.params import T_MAX
+from harqscale.tables import curve_to_json
 
 NAN, INF = math.nan, math.inf
 CLASSICAL, CC_NOMA, CC_OMA, IR_OMA = Scheme
@@ -90,6 +95,16 @@ REFUSED = [
     *(_refused(f"combined-sinr-ir-oma-{r.value}", UnsupportedCombination, "for ir-oma$",
                combined_sinr, IR_OMA, r, 1.0, 2, 10.0, 0.1)
       for r in Regime),
+    # combined_sinr follows the SchemeParams rules: each of these returned a
+    # number (-2.439, 16.0 with J < T, 52.0 and 0.0)
+    _refused("combined-rho--1", ValueError, r"^rho must be finite and >= 0, got -1\.0$",
+             combined_sinr, CC_NOMA, TIN, -1.0, 2, 4.0, 0.3),
+    _refused("combined-J-below-T", ValueError, r"^J must be finite and >= T \(4\), got 1\.0$",
+             combined_sinr, CC_OMA, TIN, 1.0, 4, 1.0, 0.3),
+    _refused("combined-eta-5", ValueError, r"^eta must be in \[0, 1\], got 5$", combined_sinr,
+             CC_NOMA, SUM, 1.0, 2, 4.0, 5),
+    _refused("combined-T-0", ValueError, r"^T must be in 1\.\.10000, got 0$", combined_sinr,
+             CC_NOMA, TIN, 1.0, 0, 4.0, 0.3),
     *(_refused(f"quant-noise-t-{t}", InvalidSlot, f"^slot t={t} ", ir_quant_noise, P, SUM, t, 1)
       for t in (0, 3)),
     _refused("quant-noise-t-1.5", ValueError, "^t must be an integer, got 1.5$", ir_quant_noise, P,
@@ -108,6 +123,9 @@ REFUSED = [
       for name, args in [("sinr", (-0.5, 100, 1e-3)), ("sinr", (NAN, 100, 1e-3)),
                          ("n", (1.0, 0, 1e-3)), ("n", (1.0, NAN, 1e-3)),
                          *(("epsilon", (1.0, 100, eps)) for eps in (0.0, 0.5, 1.0))]),
+    # at sinr = 0 the rate 0.0 was returned before epsilon was checked
+    *(_refused(f"fbl-sinr-0-epsilon-{eps}", ValueError, "^epsilon must", fbl_rate, 0.0, 100, eps)
+      for eps in (0.5, NAN, None)),
     # log2(1 + inf) / 2 was returned as a rate
     _refused("fbl-sinr-inf", ValueError, "^sinr must be finite and >= 0, got inf$", fbl_rate, INF,
              100, 1e-3),
@@ -203,6 +221,15 @@ REFUSED = [
       for value in (np.complex64(1), np.str_("1"), np.bytes_(b"1"))),
     _refused("grid-min-complex64", ValueError, "^grid bounds must be a real number, got ",
              make_grid, np.complex64(1), 2.0, 3),
+    # an array is no real number: a 1-d one got numpy's unnamed TypeError, and a
+    # 0-d one was kept, so evaluate returned numpy floats
+    *(_refused(f"{row_id}-{value.ndim}d-array", ValueError,
+               rf"^{name} must be a real number, got array\(", call(value))
+      for row_id, name, call in [
+          ("params-rho", "rho", lambda v: partial(SchemeParams, rho=v)),
+          ("grid-min", "grid bounds", lambda v: partial(make_grid, v, 2.0, 5)),
+          ("sinr-rho", "rho", lambda v: _sinr(rho=v))]
+      for value in (np.array([1.0]), np.array(1.0))),
     *(_refused(f"{row_id}-grid-not-real", ValueError,
                f"^{var} grid must hold floats: .* is not a real number$", curve, CLASSICAL, SUM,
                P, grid)
@@ -312,3 +339,61 @@ def test_refused_call_raises_a_named_error(call, error, needle):
     assert issubclass(error, (HarqScaleError, ValueError))
     with pytest.raises(error, match=needle):
         call()
+
+
+# params.check_real returns the float it checked, so a value given as any real
+# type gives what its float gives: the same numbers, each a Python float.  Each
+# argument takes a value every type holds exactly, a fraction and an integer,
+# 0.25 and 1 where its domain takes them (None: no integer in the domain)
+EXACT = {"signatures-eta": (0.25, 0), "qinv-epsilon": (0.25, None),
+         "fbl-epsilon": (0.25, None), "fbl-n": (1.5, 1), "grid-max": (2.5, 2)}
+FIELD_EXACT = {"rho": (0.25, 1), "J": (2.5, 2), "eta": (0.25, 1), "sigma2": (0.25, 1),
+               "c_buf": (0.25, 1), "L": (0.25, 1)}
+
+
+def _typed(fraction, integer):
+    """(the value as one real type, the float it stands for), for each of seven types."""
+    cases = [(kind(fraction), fraction) for kind in (np.float32, np.float64, Fraction, Decimal)]
+    if integer is not None:
+        cases += [(kind(integer), float(integer)) for kind in (int, np.int64)]
+        cases += [(bool(integer), float(integer))] if integer in (0, 1) else []
+    return [pytest.param(value, exact, id=type(value).__name__) for value, exact in cases]
+
+
+def _numbers(result) -> list:
+    """(type, value) of each number ``result`` holds: a dataclass's fields, a
+    sequence's items and an array's values, after its dtype."""
+    if dataclasses.is_dataclass(result):
+        return [x for f in dataclasses.fields(result) for x in _numbers(getattr(result, f.name))]
+    if isinstance(result, (tuple, list)):
+        return [x for item in result for x in _numbers(item)]
+    if isinstance(result, np.ndarray):
+        return [(str, str(result.dtype)), *_numbers(result.ravel().tolist())]
+    return [(type(result), result)]
+
+
+def _same_as_float(got, want):
+    assert _numbers(got) == _numbers(want)
+    assert {kind for kind, _ in _numbers(got)} <= {float, int, complex, str, Scheme, Regime}
+
+
+@pytest.mark.parametrize("call, value, exact", [
+    pytest.param(call, *case.values, id=f"{row_id}-{case.id}")
+    for row_id, _, call in REAL_ARGUMENTS for case in _typed(*EXACT.get(row_id, (0.25, 1)))])
+def test_real_argument_of_any_type_gives_what_its_float_gives(call, value, exact):
+    _same_as_float(call(value)(), call(exact)())
+
+
+@pytest.mark.parametrize("field, value, exact", [
+    pytest.param(field, *case.values, id=f"{field}-{case.id}")
+    for field, values in FIELD_EXACT.items() for case in _typed(*values)])
+def test_params_field_of_any_type_gives_what_its_float_gives(field, value, exact):
+    p, q = (SchemeParams(**{"rho": 1.0, "T": 2, "J": 10.0, field: v}) for v in (value, exact))
+    _same_as_float(p, q)
+    for s in Scheme:
+        for r in Regime:
+            _same_as_float(evaluate(s, r, p), evaluate(s, r, q))
+            for curve, grid in [(se_curve, (0.5, 1.0, 2.0)), (density_curve, (2.0, 4.0, 8.0))]:
+                got, want = curve(s, r, p, grid), curve(s, r, q, grid)
+                _same_as_float(got, want)
+                assert curve_to_json(got, "0") == curve_to_json(want, "0")
